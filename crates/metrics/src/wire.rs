@@ -498,54 +498,20 @@ pub fn encode_control(frame: &ControlFrame) -> Bytes {
 /// and payload semantics. Every failure is a typed
 /// [`Error::MalformedWire`]; the decoder never panics on hostile input.
 pub fn decode_control(data: &[u8]) -> Result<ControlFrame> {
-    if data.len() < CONTROL_HEADER + CONTROL_TRAILER {
-        return Err(Error::MalformedWire { reason: "truncated control frame", offset: data.len() });
+    match decode_control_borrowed(data)? {
+        ControlFrameRef::Other(frame) => Ok(frame),
+        borrowed => Ok(borrowed.to_owned_frame()),
     }
-    let (body, trailer) = data.split_at(data.len() - CONTROL_TRAILER);
-    let mut rest = body;
-    let magic = rest.get_u32();
-    if magic != CONTROL_MAGIC {
-        return Err(Error::MalformedWire { reason: "bad control magic", offset: 0 });
-    }
-    let version = rest.get_u16();
-    if version != CONTROL_VERSION {
-        return Err(Error::MalformedWire { reason: "unsupported control version", offset: 4 });
-    }
-    let mut check = trailer;
-    if check.get_u64() != fnv1a64(body) {
-        return Err(Error::MalformedWire {
-            reason: "control checksum mismatch",
-            offset: body.len(),
-        });
-    }
-    let kind = rest.get_u8();
+}
+
+/// Parses the payload of every kind except the two snapshot kinds, which
+/// [`decode_control_borrowed`] parses in place. `rest` is the body after
+/// the envelope's kind byte, already checksum-verified.
+fn decode_other(kind: u8, mut rest: &[u8]) -> Result<ControlFrame> {
     let frame = match kind {
         1 => {
             expect_len(rest.len(), 12)?;
             ControlFrame::Hello { session: rest.get_u32(), model_id: rest.get_u64() }
-        }
-        2 => {
-            if rest.len() < 2 {
-                return Err(Error::MalformedWire {
-                    reason: "truncated snapshot payload",
-                    offset: CONTROL_HEADER,
-                });
-            }
-            let len = rest.get_u16() as usize;
-            if len > WIRE_SIZE {
-                return Err(Error::MalformedWire {
-                    reason: "oversized snapshot payload",
-                    offset: CONTROL_HEADER,
-                });
-            }
-            if rest.len() < len {
-                return Err(Error::MalformedWire {
-                    reason: "truncated snapshot payload",
-                    offset: CONTROL_HEADER,
-                });
-            }
-            let (wire, tail) = rest.split_at(len);
-            ControlFrame::Snapshot { wire: wire.to_vec(), ctx: decode_trace_ext(tail)? }
         }
         3 => ControlFrame::Classify { ctx: decode_trace_ext(rest)? },
         4 => {
@@ -654,47 +620,6 @@ pub fn decode_control(data: &[u8]) -> Result<ControlFrame> {
                 .to_string();
             ControlFrame::Stats { text }
         }
-        8 => {
-            if rest.len() < 2 {
-                return Err(Error::MalformedWire {
-                    reason: "truncated batch payload",
-                    offset: CONTROL_HEADER,
-                });
-            }
-            let count = rest.get_u16() as usize;
-            if count > MAX_SNAPSHOT_BATCH {
-                return Err(Error::MalformedWire {
-                    reason: "oversized snapshot batch",
-                    offset: CONTROL_HEADER,
-                });
-            }
-            let mut wires = Vec::with_capacity(count);
-            for _ in 0..count {
-                if rest.len() < 2 {
-                    return Err(Error::MalformedWire {
-                        reason: "truncated batch item",
-                        offset: CONTROL_HEADER,
-                    });
-                }
-                let len = rest.get_u16() as usize;
-                if len > WIRE_SIZE {
-                    return Err(Error::MalformedWire {
-                        reason: "oversized snapshot payload",
-                        offset: CONTROL_HEADER,
-                    });
-                }
-                if rest.len() < len {
-                    return Err(Error::MalformedWire {
-                        reason: "truncated batch item",
-                        offset: CONTROL_HEADER,
-                    });
-                }
-                let (item, tail) = rest.split_at(len);
-                wires.push(item.to_vec());
-                rest = tail;
-            }
-            ControlFrame::SnapshotBatch { wires, ctx: decode_trace_ext(rest)? }
-        }
         9 => {
             if rest.len() < 2 {
                 return Err(Error::MalformedWire {
@@ -799,11 +724,10 @@ fn decode_trace_ext(tail: &[u8]) -> Result<Option<TraceContext>> {
 /// decoded into its owned [`ControlFrame`] form (control-plane frames are
 /// rare and tiny, so borrowing buys nothing there).
 ///
-/// Validation is byte-for-byte identical to [`decode_control`]:
-/// `decode_control_borrowed(buf)` succeeds exactly when
-/// `decode_control(buf)` does, and
-/// [`to_owned_frame`](ControlFrameRef::to_owned_frame) of the result
-/// equals the owning decode (a property test in `tests/` pins this).
+/// There is one decoder: [`decode_control`] is
+/// [`decode_control_borrowed`] followed by
+/// [`to_owned_frame`](ControlFrameRef::to_owned_frame), so the two accept
+/// and reject exactly the same inputs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ControlFrameRef<'a> {
     /// Kind 2: one snapshot datagram, borrowed from the input buffer.
@@ -842,11 +766,10 @@ impl ControlFrameRef<'_> {
     }
 }
 
-/// Zero-copy counterpart of [`decode_control`].
-///
-/// Snapshot payloads are returned as slices borrowing from `data`; all
-/// other kinds delegate to the owning decoder. Accepts and rejects
-/// exactly the same inputs as [`decode_control`].
+/// Decodes a control frame without copying snapshot payloads: validates
+/// the envelope and checksum once, returns snapshot datagrams as slices
+/// borrowing from `data`, and parses every other kind into its owned
+/// form. [`decode_control`] is this plus a copy.
 pub fn decode_control_borrowed(data: &[u8]) -> Result<ControlFrameRef<'_>> {
     if data.len() < CONTROL_HEADER + CONTROL_TRAILER {
         return Err(Error::MalformedWire { reason: "truncated control frame", offset: data.len() });
@@ -934,7 +857,7 @@ pub fn decode_control_borrowed(data: &[u8]) -> Result<ControlFrameRef<'_>> {
             }
             Ok(ControlFrameRef::SnapshotBatch { wires, ctx: decode_trace_ext(rest)? })
         }
-        _ => decode_control(data).map(ControlFrameRef::Other),
+        _ => decode_other(kind, rest).map(ControlFrameRef::Other),
     }
 }
 

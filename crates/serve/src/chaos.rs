@@ -14,7 +14,7 @@
 //! what lets the chaos suite assert bitwise reproducibility per seed.
 //!
 //! The contract under test: whatever this proxy does to the stream, the
-//! server worker survives to serve the next session and the client gets
+//! server's shard survives to serve the next session and the client gets
 //! a typed error (or a clean retry) — never a panic, never a wedge.
 
 use parking_lot::Mutex;

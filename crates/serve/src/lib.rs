@@ -15,9 +15,10 @@
 //!
 //! The protocol is deliberately plain: length-prefixed, checksummed
 //! [`ControlFrame`]s ([`appclass_metrics::wire`]) over plain
-//! `std::net::TcpStream`s, served by a fixed thread pool — no async
-//! runtime, no external dependencies beyond the workspace's vendored
-//! shims.
+//! `std::net::TcpStream`s, served by one `poll(2)` acceptor and a few
+//! readiness-driven shard event loops over nonblocking sockets — no
+//! async runtime, no external dependencies beyond the workspace's
+//! vendored shims.
 //!
 //! ```no_run
 //! use appclass_serve::{ClientConfig, ServeClient, Server, ServerConfig};
@@ -50,7 +51,7 @@ pub mod proto;
 pub mod retry;
 pub mod server;
 pub mod session;
-pub mod shard;
+mod shard;
 pub mod stats;
 
 pub use appclass_obs::{Observability, SpanDump, TraceAssembler, TraceContext, Tracer};
@@ -63,5 +64,4 @@ pub use overload::{OverloadMachine, OverloadState};
 pub use retry::{connect_with_retry, BreakerState, CircuitBreaker, RetryPolicy, RetryReport};
 pub use server::{Server, ServerConfig};
 pub use session::SessionConfig;
-pub use shard::ShardServer;
 pub use stats::{LatencyHistogram, ServerStats, SessionOutcome};

@@ -1,13 +1,13 @@
-//! Minimal `poll(2)`-based socket readiness, shared by the classic
-//! acceptor and the sharded event loops.
+//! Minimal `poll(2)`-based socket readiness, shared by the server's
+//! acceptor and its shard event loops.
 //!
-//! The workspace's no-async stance rules out a runtime, but blocking
-//! accepts forced [`Server::shutdown`](crate::Server::shutdown) to poke
-//! the listener with a throwaway connection — a poke indistinguishable
-//! from a real client, which could land in the shedding/refusal
-//! accounting. Readiness polling removes the need for any wake-up
-//! traffic: every loop parks in `poll(2)` with a short timeout and
-//! re-checks the shutdown flag on each wake.
+//! The workspace's no-async stance rules out a runtime, but a blocking
+//! accept would force [`Server::shutdown`](crate::Server::shutdown) to
+//! poke the listener with a throwaway connection — a poke
+//! indistinguishable from a real client, which could land in the
+//! shedding/refusal accounting. Readiness polling removes the need for
+//! any wake-up traffic: every loop parks in `poll(2)` with a short
+//! timeout and re-checks the shutdown flag on each wake.
 //!
 //! `poll(2)` is declared with a three-line `extern "C"` prototype; the
 //! symbol already lives in every binary std links, so this adds no

@@ -16,11 +16,12 @@ use std::io::{ErrorKind, Read, Write};
 pub const MAX_FRAME_BYTES: usize = MAX_CONTROL_SIZE;
 
 /// How many read timeouts mid-frame are tolerated before the peer is
-/// declared gone. Timeouts *between* frames are normal (that is how the
-/// session loop polls its shutdown flag); a peer that stalls in the
-/// middle of a frame is broken. The wall-clock budget is therefore this
-/// count times the socket's read timeout — the chaos suite's mid-frame
-/// stalls are calibrated against exactly that product.
+/// declared gone. Timeouts *between* frames are normal; a peer that
+/// stalls in the middle of a frame is broken. The wall-clock budget is
+/// therefore this count times the read timeout — the server's shards
+/// apply the same product to
+/// [`ServerConfig::read_timeout`](crate::ServerConfig::read_timeout), and
+/// the chaos suite's mid-frame stalls are calibrated against it.
 pub const MID_FRAME_TIMEOUT_BUDGET: u32 = 100;
 
 /// Writes one control frame (length prefix + encoded bytes) and flushes.
@@ -64,53 +65,33 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<ControlFrame> {
 
 /// Reads one control frame from a stream that may have a read timeout
 /// configured. Returns `Ok(None)` when the timeout fired before *any*
-/// byte of the next frame arrived — the idle case the server's session
-/// loop uses to poll its shutdown flag. Once a frame has started, short
+/// byte of the next frame arrived. Once a frame has started, short
 /// timeouts are retried (up to a budget) so a frame split across packets
 /// is never torn.
 pub fn read_frame_or_idle<R: Read>(r: &mut R) -> Result<Option<ControlFrame>> {
-    Ok(read_frame_or_idle_timed(r)?.map(|(frame, _)| frame))
-}
-
-/// Like [`read_frame_or_idle`], but also reports *when the frame started
-/// arriving* (the instant the first prefix byte was read). The session's
-/// deadline budget is measured from that instant: a frame that trickled
-/// in slowly — mid-frame stalls, a congested proxy — is already old by
-/// the time it decodes, and the deadline layer can shed it before
-/// spending classification work on it.
-pub fn read_frame_or_idle_timed<R: Read>(
-    r: &mut R,
-) -> Result<Option<(ControlFrame, std::time::Instant)>> {
     let mut prefix = [0u8; 4];
-    let arrival = match read_exact_or_idle(r, &mut prefix)? {
-        Some(at) => at,
-        None => return Ok(None),
-    };
+    if !read_exact_or_idle(r, &mut prefix)? {
+        return Ok(None);
+    }
     let len = u32::from_be_bytes(prefix) as usize;
     if len > MAX_FRAME_BYTES {
         return Err(ServeError::FrameTooLarge { size: len, max: MAX_FRAME_BYTES });
     }
     let mut body = vec![0u8; len];
     fill(r, &mut body, 0)?;
-    Ok(Some((wire::decode_control(&body)?, arrival)))
+    Ok(Some(wire::decode_control(&body)?))
 }
 
-/// Like `read_exact`, but returns `Ok(None)` if a read timeout fires
-/// before the first byte; otherwise the instant the first byte arrived.
-fn read_exact_or_idle<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<Option<std::time::Instant>> {
+/// Like `read_exact`, but returns `Ok(false)` if a read timeout fires
+/// before the first byte.
+fn read_exact_or_idle<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<bool> {
     let mut got = 0usize;
-    let mut arrival = None;
     let mut timeouts = 0u32;
     while got < buf.len() {
         match r.read(&mut buf[got..]) {
             Ok(0) => return Err(ServeError::ConnectionClosed),
-            Ok(n) => {
-                if arrival.is_none() {
-                    arrival = Some(std::time::Instant::now());
-                }
-                got += n;
-            }
-            Err(e) if is_timeout(&e) && got == 0 => return Ok(None),
+            Ok(n) => got += n,
+            Err(e) if is_timeout(&e) && got == 0 => return Ok(false),
             Err(e) if is_timeout(&e) => {
                 // Mid-prefix stalls draw on the same budget as mid-body
                 // ones: every timeout after the first byte counts.
@@ -123,7 +104,7 @@ fn read_exact_or_idle<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<Option<std::
             Err(e) => return Err(e.into()),
         }
     }
-    Ok(arrival)
+    Ok(true)
 }
 
 /// Completes `buf` from offset `got`, retrying timeouts up to the
@@ -303,17 +284,5 @@ mod tests {
         let mut r = StutterReader::new(pipe, 0).with_stall(2, MID_FRAME_TIMEOUT_BUDGET + 1);
         let err = read_frame_or_idle(&mut r).expect_err("prefix stall past budget");
         assert!(matches!(err, ServeError::Io(_)), "typed Io expected, got {err}");
-    }
-
-    #[test]
-    fn timed_reader_reports_an_arrival_instant() {
-        let mut pipe = Vec::new();
-        let frame = ControlFrame::Classify { ctx: None };
-        write_frame(&mut pipe, &frame).unwrap();
-        let before = std::time::Instant::now();
-        let mut r = Cursor::new(pipe);
-        let (got, arrival) = read_frame_or_idle_timed(&mut r).unwrap().unwrap();
-        assert_eq!(got, frame);
-        assert!(arrival >= before && arrival.elapsed() < std::time::Duration::from_secs(5));
     }
 }

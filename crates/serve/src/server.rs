@@ -1,47 +1,51 @@
-//! The concurrent classification server: acceptor + worker pool.
+//! The classification server: one acceptor plus the shard fabric.
 //!
-//! One acceptor thread owns the [`TcpListener`] and applies admission
-//! control; admitted connections flow over a crossbeam channel to a
-//! fixed pool of `max_sessions` worker threads, each of which runs the
-//! [`crate::session`] state machine with its own [`OnlineClassifier`]
-//! over the shared trained pipeline. No async runtime: the paper's
-//! 5-second sampling period makes thread-per-session economics trivial,
-//! and the pool bound keeps a connection flood from becoming a thread
-//! flood.
-//!
-//! [`OnlineClassifier`]: appclass_core::OnlineClassifier
+//! One acceptor thread owns the [`TcpListener`], parks in `poll(2)`,
+//! and applies admission control: a hard `SessionLimit` cap first, then
+//! soft `Busy` shedding driven by the [`OverloadMachine`]. Admitted
+//! connections are dealt round-robin to `config.shards` readiness-driven
+//! event loops (the `shard` module), each of which serves every connection
+//! it owns concurrently over nonblocking sockets. No async runtime: the
+//! event loops are plain loops on plain threads.
 
 use crate::error::{Result, ServeError};
 use crate::feed::CompositionFeed;
 use crate::model::ModelSlot;
 use crate::overload::{OverloadMachine, OverloadState};
-use crate::session::{refuse, refuse_busy, run_session, SessionConfig, SessionEnd};
+use crate::session::{refuse, refuse_busy, SessionConfig};
+use crate::shard::shard_loop;
 use crate::stats::ServerStats;
 use appclass_core::ClassifierPipeline;
 use appclass_metrics::ByeReason;
 use appclass_obs::{Counter, Gauge, Histogram, Observability};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Server-wide policy, fixed at bind time.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Worker threads — the number of sessions served concurrently.
+    /// Admission target: how many connections the server expects to hold
+    /// at once. Every admitted connection is served concurrently; the
+    /// admissions beyond this many are the queue depth the shedding
+    /// watermarks are measured against.
     pub max_sessions: usize,
-    /// Connections allowed to queue beyond the active set before
-    /// admission control starts refusing with `Bye(SessionLimit)`.
+    /// Admissions allowed beyond `max_sessions` before admission control
+    /// starts refusing with `Bye(SessionLimit)`.
     pub backlog: usize,
     /// Stop accepting after this many admitted sessions and let
     /// [`Server::join`] return naturally (`None` = serve until
     /// [`Server::shutdown`]).
     pub accept_limit: Option<u64>,
-    /// Socket read timeout; doubles as the shutdown-poll cadence of
-    /// idle sessions.
+    /// Unit of the mid-frame stall budget: a connection whose pending
+    /// frame stays incomplete for
+    /// [`MID_FRAME_TIMEOUT_BUDGET`](crate::proto::MID_FRAME_TIMEOUT_BUDGET)
+    /// times this long is failed.
     pub read_timeout: Duration,
     /// Low watermark of the overload state machine: queue depth at or
     /// above it marks the server `Degraded`, and an active shedding
@@ -49,15 +53,13 @@ pub struct ServerConfig {
     pub shed_low_watermark: usize,
     /// High watermark: queue depth at or above it flips the server into
     /// `Shedding`, where new connections get a soft `Busy` refusal
-    /// instead of being queued. Kept below `backlog` by default so soft
+    /// instead of being admitted. Kept below `backlog` by default so soft
     /// refusals engage before the hard `SessionLimit` cap.
     pub shed_high_watermark: usize,
     /// The `retry_after_ms` hint carried by `Busy` refusals.
     pub busy_retry_after: Duration,
-    /// Worker-group count for the sharded server
-    /// ([`crate::shard::ShardServer`]): the session table is split
-    /// across this many readiness-driven event loops. Ignored by the
-    /// thread-per-session [`Server`].
+    /// Event-loop count: admitted connections are dealt round-robin
+    /// across this many shards, each owning its session table outright.
     pub shards: usize,
     /// Per-session policy.
     pub session: SessionConfig,
@@ -79,33 +81,9 @@ impl Default for ServerConfig {
     }
 }
 
-/// State shared by the acceptor, the workers, and the [`Server`] handle.
-struct Shared {
-    slot: Arc<ModelSlot>,
-    config: ServerConfig,
-    shutdown: AtomicBool,
-    /// Set by the acceptor as it exits, so [`Server::shutdown`]'s
-    /// bounded wait can return as soon as admission has stopped.
-    acceptor_done: AtomicBool,
-    /// Connections admitted to the pool and not yet finished.
-    in_flight: AtomicUsize,
-    next_session: AtomicU32,
-    stats: Mutex<ServerStats>,
-    /// Watermark-driven overload state over the admission-queue depth.
-    overload: Mutex<OverloadMachine>,
-    overload_gauge: Gauge,
-    queue_depth_gauge: Gauge,
-    obs: Observability,
-    session_counters: SessionCounters,
-    /// Latest per-session classification observations, for the cluster
-    /// controller (see [`crate::feed`]).
-    feed: CompositionFeed,
-}
-
 /// Registry counters mirroring the session-lifecycle fields of
-/// [`ServerStats`], so the `Stats` exposition reflects them live.
-/// Shared with the sharded server (`crate::shard`), which increments
-/// the same registry atomics from every shard — its lock-free merge.
+/// [`ServerStats`], so the `Stats` exposition reflects them live. Every
+/// shard increments the same registry atomics — the lock-free merge.
 pub(crate) struct SessionCounters {
     pub(crate) started: Counter,
     pub(crate) finished: Counter,
@@ -113,9 +91,9 @@ pub(crate) struct SessionCounters {
     /// Soft `Busy` refusals while shedding (`serve_shed_total`).
     pub(crate) shed: Counter,
     pub(crate) errors: Counter,
-    /// Pre-registered at bind (the session path registers the same
-    /// names), so `model_swap_total` and its latency histogram appear in
-    /// the `Stats` exposition even before the first swap.
+    /// Pre-registered at bind (the shards register the same names), so
+    /// `model_swap_total` and its latency histogram appear in the `Stats`
+    /// exposition even before the first swap.
     pub(crate) swap_total: Counter,
     pub(crate) swap_latency: Histogram,
 }
@@ -134,6 +112,28 @@ impl SessionCounters {
     }
 }
 
+/// State shared by the acceptor, every shard, and the handle.
+pub(crate) struct Shared {
+    pub(crate) slot: Arc<ModelSlot>,
+    pub(crate) config: ServerConfig,
+    pub(crate) shutdown: AtomicBool,
+    /// Set by the acceptor as it exits, so [`Server::shutdown`]'s
+    /// bounded wait can return as soon as admission has stopped.
+    acceptor_done: AtomicBool,
+    /// Connections admitted (dealt to a shard) and not yet retired.
+    pub(crate) in_flight: AtomicUsize,
+    pub(crate) next_session: AtomicU32,
+    /// Watermark-driven overload state over the admission-queue depth.
+    overload: Mutex<OverloadMachine>,
+    overload_gauge: Gauge,
+    queue_depth_gauge: Gauge,
+    pub(crate) obs: Observability,
+    pub(crate) counters: SessionCounters,
+    /// Latest per-session classification observations, for the cluster
+    /// controller (see [`crate::feed`]).
+    pub(crate) feed: CompositionFeed,
+}
+
 /// A running classification server.
 ///
 /// Bind, hand out [`Server::local_addr`] to clients, then either
@@ -142,12 +142,13 @@ impl SessionCounters {
 pub struct Server {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    acceptor: Option<JoinHandle<ServerStats>>,
+    shards: Vec<JoinHandle<ServerStats>>,
 }
 
 impl Server {
-    /// Binds the listener and spawns the acceptor and worker threads.
+    /// Binds the listener and spawns the acceptor plus the shard event
+    /// loops.
     ///
     /// `addr` may carry port 0 to let the OS pick an ephemeral port;
     /// read the real one back with [`Server::local_addr`].
@@ -170,7 +171,7 @@ impl Server {
     ) -> Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let session_counters = SessionCounters::new(&obs);
+        let counters = SessionCounters::new(&obs);
         // Pre-register so the exposition names the deadline counter even
         // before the first session sheds a frame.
         let _ = obs.registry.counter("serve_deadline_shed_total");
@@ -183,7 +184,6 @@ impl Server {
             acceptor_done: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
             next_session: AtomicU32::new(1),
-            stats: Mutex::new(ServerStats::default()),
             overload: Mutex::new(OverloadMachine::new(
                 config.shed_low_watermark,
                 config.shed_high_watermark,
@@ -191,30 +191,27 @@ impl Server {
             overload_gauge,
             queue_depth_gauge,
             obs,
-            session_counters,
+            counters,
             feed: CompositionFeed::new(),
         });
 
-        let (tx, rx) = unbounded::<TcpStream>();
-        // The std-backed channel shim's Receiver is not Sync, so the
-        // workers share it behind a mutex: whichever worker is idle
-        // holds the lock only for the handoff, then serves unlocked.
-        let rx = Arc::new(Mutex::new(rx));
-
-        let workers = (0..config.max_sessions.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                let rx = Arc::clone(&rx);
-                std::thread::spawn(move || worker_loop(&shared, &rx))
-            })
-            .collect();
-
+        let nshards = config.shards.max(1);
+        let mut txs = Vec::with_capacity(nshards);
+        let mut shards = Vec::with_capacity(nshards);
+        for _ in 0..nshards {
+            let (tx, rx) = unbounded::<TcpStream>();
+            txs.push(tx);
+            let shared = Arc::clone(&shared);
+            shards.push(std::thread::spawn(move || shard_loop(&shared, &rx)));
+        }
         let acceptor = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&shared, &listener, &tx))
+            // The acceptor owns every sender: when it exits, the
+            // channels disconnect and drained shards know to stop.
+            std::thread::spawn(move || accept_loop(&shared, &listener, txs))
         };
 
-        Ok(Server { local_addr, shared, acceptor: Some(acceptor), workers })
+        Ok(Server { local_addr, shared, acceptor: Some(acceptor), shards })
     }
 
     /// The bound address (with the real port when bound to port 0).
@@ -222,12 +219,7 @@ impl Server {
         self.local_addr
     }
 
-    /// A point-in-time copy of the aggregate statistics.
-    pub fn stats(&self) -> ServerStats {
-        self.shared.stats.lock().clone()
-    }
-
-    /// The observability bundle every session instruments into. Clones
+    /// The observability bundle every shard instruments into. Clones
     /// share state, so a returned handle stays live while the server runs.
     pub fn observability(&self) -> &Observability {
         &self.shared.obs
@@ -246,40 +238,38 @@ impl Server {
         self.shared.slot.current_id()
     }
 
-    /// The shared model slot — the same one sessions poll, so a swap
-    /// through a cloned handle behaves exactly like [`Server::swap_model`]
-    /// minus the metrics.
+    /// The shared model slot every shard polls between frames, so a swap
+    /// through a cloned handle behaves exactly like
+    /// [`Server::swap_model`] minus the metrics.
     pub fn model_slot(&self) -> Arc<ModelSlot> {
         Arc::clone(&self.shared.slot)
     }
 
-    /// Hot-swaps the served model. Established sessions drain onto the
-    /// new pipeline at their next frame without dropping the connection;
-    /// clients pinned to the old fingerprint stay admissible through the
-    /// drain window. Returns `(old_id, new_id)` — equal when the offered
-    /// model is already the one served (a no-op).
+    /// Hot-swaps the served model. Established sessions on every shard
+    /// drain onto the new pipeline at their next frame without dropping
+    /// the connection; clients pinned to the old fingerprint stay
+    /// admissible through the drain window. Returns `(old_id, new_id)` —
+    /// equal when the offered model is already the one served (a no-op).
     pub fn swap_model(&self, pipeline: Arc<ClassifierPipeline>) -> (u64, u64) {
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let (old, new) = self.shared.slot.swap(pipeline);
         if old != new {
-            self.shared.session_counters.swap_total.inc();
-            self.shared.session_counters.swap_latency.record(start.elapsed());
+            self.shared.counters.swap_total.inc();
+            self.shared.counters.swap_latency.record(start.elapsed());
             self.shared.obs.incident(&format!("server: model swap {old:#018x} -> {new:#018x}"));
         }
         (old, new)
     }
 
-    /// Asks every thread to wind down: in-flight sessions drain with
-    /// `Bye(Shutdown)`, queued connections are refused, the acceptor
-    /// stops. Returns once the acceptor has acknowledged (bounded wait);
-    /// [`Server::join`] observes the full drain.
+    /// Asks the acceptor and every shard to wind down: established
+    /// sessions drain with `Bye(Shutdown)`, the acceptor stops. Returns
+    /// once the acceptor has acknowledged (bounded wait); [`Server::join`]
+    /// observes the full drain.
     ///
-    /// The acceptor parks in `poll(2)` with a short timeout rather than
-    /// a blocking `accept`, so it observes the flag on its own within
-    /// one poll interval. No wake-up connection is made: a self-connect
-    /// poke would be indistinguishable from a real client, and when the
-    /// server is shedding it would land in the `sessions_busy`/refusal
-    /// accounting and skew the final stats.
+    /// This only sets a flag that the readiness loops observe within one
+    /// poll interval. No wake-up connection is made: a self-connect poke
+    /// would be indistinguishable from a real client, and when the server
+    /// is shedding it would land in the refusal accounting.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         for _ in 0..100 {
@@ -290,43 +280,51 @@ impl Server {
         }
     }
 
-    /// Waits for the acceptor and every worker to exit, then returns the
-    /// final statistics. Blocks until either [`Server::shutdown`] is
-    /// called or the configured accept limit drains.
+    /// Waits for the acceptor and every shard, then merges the
+    /// per-shard statistics into one report. Blocks until either
+    /// [`Server::shutdown`] is called or the accept limit drains.
     pub fn join(mut self) -> Result<ServerStats> {
+        let mut merged = ServerStats::default();
         let mut panicked = false;
         if let Some(h) = self.acceptor.take() {
-            panicked |= h.join().is_err();
+            match h.join() {
+                Ok(admission) => merged.merge(&admission),
+                Err(_) => panicked = true,
+            }
         }
-        for h in self.workers.drain(..) {
-            panicked |= h.join().is_err();
+        for h in self.shards.drain(..) {
+            match h.join() {
+                Ok(stats) => merged.merge(&stats),
+                Err(_) => panicked = true,
+            }
         }
         if panicked {
             return Err(ServeError::WorkerPanicked);
         }
-        Ok(self.shared.stats.lock().clone())
+        Ok(merged)
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
         // A dropped-without-join server must not leak parked threads.
-        if self.acceptor.is_some() || !self.workers.is_empty() {
+        if self.acceptor.is_some() || !self.shards.is_empty() {
             self.shutdown();
             if let Some(h) = self.acceptor.take() {
                 let _ = h.join();
             }
-            for h in self.workers.drain(..) {
+            for h in self.shards.drain(..) {
                 let _ = h.join();
             }
         }
     }
 }
 
-/// Recomputes the admission-queue depth, feeds it through the overload
-/// state machine, and mirrors both into the registry gauges. Entering
-/// `Shedding` latches one flight-recorder incident per episode.
-fn update_overload(shared: &Shared) -> OverloadState {
+/// Recomputes the admission-queue depth (admissions beyond the
+/// `max_sessions` target), feeds it through the overload state machine,
+/// and mirrors both into the registry gauges. Entering `Shedding`
+/// latches one flight-recorder incident per episode.
+pub(crate) fn update_overload(shared: &Shared) -> OverloadState {
     let depth =
         shared.in_flight.load(Ordering::SeqCst).saturating_sub(shared.config.max_sessions.max(1));
     let (state, entered_shedding) = shared.overload.lock().update(depth);
@@ -343,13 +341,23 @@ fn update_overload(shared: &Shared) -> OverloadState {
 /// listener.
 const ACCEPT_POLL_INTERVAL: Duration = Duration::from_millis(25);
 
-fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &Sender<TcpStream>) {
+/// Readiness-driven acceptor: hard `SessionLimit` cap first, then soft
+/// `Busy` shedding, dealing admitted sockets round-robin across the
+/// shard channels. Returns the admission-side statistics
+/// (rejected/busy), which it owns single-threaded — no lock on the
+/// refusal path.
+fn accept_loop(
+    shared: &Shared,
+    listener: &TcpListener,
+    txs: Vec<Sender<TcpStream>>,
+) -> ServerStats {
+    let mut stats = ServerStats::default();
     let capacity = shared.config.max_sessions.max(1) + shared.config.backlog;
     let mut admitted = 0u64;
-    // Readiness-driven accept: the listener is nonblocking, and the
-    // loop parks in poll(2) with a short timeout. Shutdown is observed
-    // within one interval without any wake-up connection, so the
-    // refusal accounting only ever sees real clients.
+    let mut next_shard = 0usize;
+    // The listener is nonblocking and the loop parks in poll(2) with a
+    // short timeout, so shutdown is observed within one interval without
+    // any wake-up connection.
     let _ = listener.set_nonblocking(true);
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -360,7 +368,7 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &Sender<TcpStream>) 
         }
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 let _ = crate::poll::wait_readable(listener, ACCEPT_POLL_INTERVAL);
                 continue;
             }
@@ -371,96 +379,36 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &Sender<TcpStream>) 
                 continue;
             }
         };
-        // Linux does not propagate the listener's nonblocking flag to
-        // accepted sockets, but other platforms disagree — pin the
-        // session socket back to blocking for the worker pool.
-        let _ = stream.set_nonblocking(false);
         if shared.shutdown.load(Ordering::SeqCst) {
             // A client that lost the race with shutdown gets a clean
             // refusal.
+            let _ = stream.set_nonblocking(false);
             refuse(stream, ByeReason::Shutdown);
             break;
         }
-        // Admission control, hard cap first: a full queue is a hard
-        // `SessionLimit` refusal; a queue past the shed high watermark
-        // (but not yet full) is a soft `Busy` with a retry hint.
         if shared.in_flight.load(Ordering::SeqCst) >= capacity {
-            shared.stats.lock().sessions_rejected += 1;
-            shared.session_counters.rejected.inc();
+            stats.sessions_rejected += 1;
+            shared.counters.rejected.inc();
+            let _ = stream.set_nonblocking(false);
             refuse(stream, ByeReason::SessionLimit);
             continue;
         }
         if update_overload(shared) == OverloadState::Shedding {
-            shared.stats.lock().sessions_busy += 1;
-            shared.session_counters.shed.inc();
+            stats.sessions_busy += 1;
+            shared.counters.shed.inc();
+            let _ = stream.set_nonblocking(false);
             refuse_busy(stream, shared.config.busy_retry_after);
             continue;
         }
         shared.in_flight.fetch_add(1, Ordering::SeqCst);
         admitted += 1;
-        if tx.send(stream).is_err() {
-            break; // every worker is gone; nothing can serve
+        if txs[next_shard % txs.len()].send(stream).is_err() {
+            shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+            break; // shards are gone; nothing can serve
         }
+        next_shard = next_shard.wrapping_add(1);
     }
     shared.acceptor_done.store(true, Ordering::SeqCst);
-    // Dropping `tx` (by returning) is what lets idle workers exit.
-}
-
-fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<TcpStream>>) {
-    loop {
-        let stream = {
-            let rx = rx.lock();
-            match rx.recv() {
-                Ok(stream) => stream,
-                Err(_) => break, // acceptor exited and the queue drained
-            }
-        };
-        serve_one(shared, stream);
-        shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        // Drains move the state machine too — this is what ends a
-        // shedding episode once the queue empties back past the low
-        // watermark.
-        update_overload(shared);
-    }
-}
-
-fn serve_one(shared: &Shared, stream: TcpStream) {
-    if shared.shutdown.load(Ordering::SeqCst) {
-        shared.stats.lock().sessions_rejected += 1;
-        shared.session_counters.rejected.inc();
-        refuse(stream, ByeReason::Shutdown);
-        return;
-    }
-    // Replies are small and latency-bound (the batch path blocks on its
-    // `VerdictBatch` ack); never let Nagle sit on them.
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(shared.config.read_timeout)).is_err() {
-        shared.stats.lock().session_errors += 1;
-        shared.session_counters.errors.inc();
-        return;
-    }
-    let session_id = shared.next_session.fetch_add(1, Ordering::SeqCst);
-    shared.stats.lock().sessions_started += 1;
-    shared.session_counters.started.inc();
-    let end = run_session(
-        stream,
-        session_id,
-        &shared.slot,
-        shared.config.session,
-        &shared.shutdown,
-        Some(&shared.obs),
-        Some(&shared.feed),
-    );
-    let mut stats = shared.stats.lock();
-    stats.absorb(end.outcome());
-    match end {
-        SessionEnd::Clean(_) | SessionEnd::Shutdown(_) => {
-            stats.sessions_finished += 1;
-            shared.session_counters.finished.inc();
-        }
-        SessionEnd::Failed(..) => {
-            stats.session_errors += 1;
-            shared.session_counters.errors.inc();
-        }
-    }
+    stats
+    // Dropping `txs` disconnects the channels; drained shards exit.
 }

@@ -1,17 +1,10 @@
-//! The sharded session fabric: readiness-driven event loops over
-//! nonblocking sockets, one session table per shard.
+//! The shard fabric: readiness-driven event loops over nonblocking
+//! sockets, one session table per shard. The [`Server`](crate::Server)
+//! acceptor deals admitted connections round-robin to these loops.
 //!
-//! The thread-per-session [`Server`](crate::Server) tops out where its
-//! economics do: one blocking thread per concurrent session, a global
-//! stats mutex, and a fresh allocation per decoded snapshot payload.
-//! [`ShardServer`] keeps the wire protocol, the admission control, and
-//! the session semantics bit-identical while changing the execution
-//! model:
-//!
-//! - **Sharded session table.** Admitted connections are dealt
-//!   round-robin to `config.shards` worker groups. Each shard owns its
-//!   connections outright — session state never crosses a shard
-//!   boundary, so there is no session-table lock anywhere.
+//! - **Sharded session table.** Each shard owns its connections
+//!   outright — session state never crosses a shard boundary, so there
+//!   is no session-table lock anywhere.
 //! - **Readiness-driven I/O.** Every socket is nonblocking; each shard
 //!   parks in `poll(2)` ([`crate::poll`]) and only touches sockets the
 //!   kernel reports ready. No async runtime, per the workspace's
@@ -21,13 +14,11 @@
 //!   read buffer with
 //!   [`decode_control_borrowed`](wire::decode_control_borrowed):
 //!   snapshot datagrams are classified straight out of the buffer the
-//!   kernel filled, never copied into per-frame `Vec`s. A property test
-//!   pins the borrowed decode bit-identical to the allocating path.
+//!   kernel filled, never copied into per-frame `Vec`s.
 //! - **Lock-free stats.** Each shard accumulates its own
 //!   [`ServerStats`]; live observability flows through the shared
-//!   registry's atomic counters (the same `serve_*` names the threaded
-//!   server exports). The only merge is at [`ShardServer::join`], after
-//!   every shard has exited.
+//!   registry's atomic `serve_*` counters. The only merge is at
+//!   [`Server::join`](crate::Server::join), after every shard has exited.
 //!
 //! Ownership rule for the zero-copy path: a borrowed frame lives
 //! exactly as long as one call to the per-frame handler — nothing
@@ -37,34 +28,26 @@
 //! [`ControlFrame`] for the rare control-plane kinds; after it returns,
 //! the consumed prefix of the read buffer is discarded.
 
-use crate::error::{Result, ServeError};
-use crate::feed::CompositionFeed;
+use crate::error::ServeError;
 use crate::model::ModelSlot;
-use crate::overload::{OverloadMachine, OverloadState};
 use crate::poll::PollSet;
 use crate::proto::{write_frame, write_frame_single, MAX_FRAME_BYTES, MID_FRAME_TIMEOUT_BUDGET};
-use crate::server::{ServerConfig, SessionCounters};
-use crate::session::{
-    busy_frame, deadline_exceeded, finish, publish_feed, refuse, refuse_busy, verdict_frame,
-};
+use crate::server::{update_overload, ServerConfig, Shared};
+use crate::session::{busy_frame, deadline_exceeded, finish, publish_feed, refuse, verdict_frame};
 use crate::stats::{ServerStats, SessionOutcome};
 use appclass_core::online::OnlineClassifier;
 use appclass_core::ClassifierPipeline;
 use appclass_metrics::wire::{self, ControlFrameRef};
 use appclass_metrics::{ByeReason, ControlFrame, FrameDisposition, FrameVerdict};
 use appclass_obs::span::SpanName;
-use appclass_obs::{Counter, Gauge, Histogram, Observability, TraceScope};
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use parking_lot::Mutex;
+use appclass_obs::{Counter, Histogram, Observability, TraceScope};
+use crossbeam::channel::{Receiver, TryRecvError};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long the acceptor parks in `poll(2)` before re-checking flags.
-const ACCEPT_POLL_INTERVAL: Duration = Duration::from_millis(25);
 /// How long a shard parks in `poll(2)` when its sockets are quiet; the
 /// upper bound on new-connection pickup latency.
 const SHARD_POLL_INTERVAL: Duration = Duration::from_millis(5);
@@ -72,19 +55,19 @@ const SHARD_POLL_INTERVAL: Duration = Duration::from_millis(5);
 const SHARD_IDLE_SLEEP: Duration = Duration::from_millis(1);
 /// Read chunk size per `read(2)` call on a ready socket.
 const READ_CHUNK: usize = 64 * 1024;
-/// Hard cap on un-flushed reply bytes per connection. The threaded
-/// server applies backpressure by blocking in `write`; an event loop
-/// cannot, so a client that streams requests while never draining its
-/// acks is failed once its pending replies cross this bound.
+/// Hard cap on un-flushed reply bytes per connection. An event loop
+/// cannot apply backpressure by blocking in `write`, so a client that
+/// streams requests while never draining its acks is failed once its
+/// pending replies cross this bound.
 const MAX_WRITE_BACKLOG: usize = 16 * 1024 * 1024;
 
 /// One model generation of one sharded session: an [`OnlineClassifier`]
 /// pinned to the pipeline `Arc` it borrows from.
 ///
-/// `OnlineClassifier<'a>` borrows its pipeline, which fits the threaded
-/// server (a generation lives on one stack frame) but not an event
-/// loop, where per-connection state must be storable. This cell makes
-/// the borrow self-referential under a narrow, documented contract.
+/// `OnlineClassifier<'a>` borrows its pipeline, which fits a generation
+/// that lives on one stack frame but not an event loop, where
+/// per-connection state must be storable. This cell makes the borrow
+/// self-referential under a narrow, documented contract.
 ///
 /// SAFETY invariants:
 /// - `pipeline` is an `Arc`: the `ClassifierPipeline` lives on the heap
@@ -124,8 +107,8 @@ impl Generation {
 
 /// Registry handles one shard clones once and shares across all its
 /// connections. The counters are the same named atomics every other
-/// shard (and the threaded server) increments — the shared registry is
-/// the lock-free merge point for live stats.
+/// shard increments — the shared registry is the lock-free merge point
+/// for live stats.
 struct ShardObs {
     obs: Observability,
     frames_in: Counter,
@@ -166,8 +149,7 @@ enum Phase {
     Steady,
 }
 
-/// Why a connection is being closed (mirrors the
-/// [`SessionEnd`](crate::session::SessionEnd) arms).
+/// Why a connection is being closed, for the shard's accounting.
 enum CloseKind {
     Clean,
     Shutdown,
@@ -184,8 +166,7 @@ struct ConnIo {
     write_pos: usize,
     /// When the first byte of the currently-pending (unparsed) frame
     /// arrived; `None` while the read buffer is empty. This is what the
-    /// mid-frame stall budget and the per-frame deadline measure from,
-    /// mirroring `read_frame_or_idle_timed`'s arrival stamp.
+    /// mid-frame stall budget and the per-frame deadline measure from.
     frame_started: Option<Instant>,
 }
 
@@ -240,8 +221,8 @@ struct Sess {
     outcome: SessionOutcome,
     /// Trace id last seen on this session's telemetry (0 = untraced).
     last_trace: u64,
-    /// One flight-recorder incident per degradation episode, mirroring
-    /// `SessionObs::note_degraded`.
+    /// One flight-recorder incident per degradation episode (see
+    /// [`note_degraded`]).
     degraded_noted: bool,
 }
 
@@ -257,274 +238,10 @@ enum Step {
     Close(CloseKind),
 }
 
-/// State shared by the acceptor, every shard, and the handle.
-struct ShardShared {
-    slot: Arc<ModelSlot>,
-    config: ServerConfig,
-    shutdown: AtomicBool,
-    acceptor_done: AtomicBool,
-    /// Connections admitted (dealt to a shard) and not yet retired.
-    in_flight: AtomicUsize,
-    next_session: AtomicU32,
-    overload: Mutex<OverloadMachine>,
-    overload_gauge: Gauge,
-    queue_depth_gauge: Gauge,
-    obs: Observability,
-    counters: SessionCounters,
-    feed: CompositionFeed,
-}
-
-/// The sharded classification server. Protocol-compatible with
-/// [`Server`](crate::Server) — same handshake, same frames, same
-/// admission control, same counter names — but serving its sessions on
-/// `config.shards` readiness-driven event loops instead of a
-/// thread-per-session pool.
-pub struct ShardServer {
-    local_addr: SocketAddr,
-    shared: Arc<ShardShared>,
-    acceptor: Option<JoinHandle<ServerStats>>,
-    shards: Vec<JoinHandle<ServerStats>>,
-}
-
-impl ShardServer {
-    /// Binds the listener and spawns the acceptor plus the shard event
-    /// loops.
-    pub fn bind<A: ToSocketAddrs>(
-        addr: A,
-        pipeline: Arc<ClassifierPipeline>,
-        config: ServerConfig,
-    ) -> Result<ShardServer> {
-        ShardServer::bind_with_observability(addr, pipeline, config, Observability::new())
-    }
-
-    /// Like [`ShardServer::bind`], but instrumenting into a
-    /// caller-supplied [`Observability`] bundle.
-    pub fn bind_with_observability<A: ToSocketAddrs>(
-        addr: A,
-        pipeline: Arc<ClassifierPipeline>,
-        config: ServerConfig,
-        obs: Observability,
-    ) -> Result<ShardServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let counters = SessionCounters::new(&obs);
-        // Pre-register so the exposition names the deadline counter even
-        // before the first session sheds a frame.
-        let _ = obs.registry.counter("serve_deadline_shed_total");
-        let overload_gauge = obs.registry.gauge("serve_overload_state");
-        let queue_depth_gauge = obs.registry.gauge("serve_queue_depth");
-        let shared = Arc::new(ShardShared {
-            slot: Arc::new(ModelSlot::new(pipeline)),
-            config,
-            shutdown: AtomicBool::new(false),
-            acceptor_done: AtomicBool::new(false),
-            in_flight: AtomicUsize::new(0),
-            next_session: AtomicU32::new(1),
-            overload: Mutex::new(OverloadMachine::new(
-                config.shed_low_watermark,
-                config.shed_high_watermark,
-            )),
-            overload_gauge,
-            queue_depth_gauge,
-            obs,
-            counters,
-            feed: CompositionFeed::new(),
-        });
-
-        let nshards = config.shards.max(1);
-        let mut txs = Vec::with_capacity(nshards);
-        let mut shards = Vec::with_capacity(nshards);
-        for _ in 0..nshards {
-            let (tx, rx) = unbounded::<TcpStream>();
-            txs.push(tx);
-            let shared = Arc::clone(&shared);
-            shards.push(std::thread::spawn(move || shard_loop(&shared, &rx)));
-        }
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            // The acceptor owns every sender: when it exits, the
-            // channels disconnect and drained shards know to stop.
-            std::thread::spawn(move || shard_accept_loop(&shared, &listener, txs))
-        };
-
-        Ok(ShardServer { local_addr, shared, acceptor: Some(acceptor), shards })
-    }
-
-    /// The bound address (with the real port when bound to port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// The observability bundle every shard instruments into.
-    pub fn observability(&self) -> &Observability {
-        &self.shared.obs
-    }
-
-    /// The serve→cluster composition feed (shared with every shard).
-    pub fn composition_feed(&self) -> CompositionFeed {
-        self.shared.feed.clone()
-    }
-
-    /// Fingerprint of the model currently served.
-    pub fn model_id(&self) -> u64 {
-        self.shared.slot.current_id()
-    }
-
-    /// The shared model slot every shard polls between frames.
-    pub fn model_slot(&self) -> Arc<ModelSlot> {
-        Arc::clone(&self.shared.slot)
-    }
-
-    /// Hot-swaps the served model; established sessions on every shard
-    /// drain onto the new pipeline at their next frame.
-    pub fn swap_model(&self, pipeline: Arc<ClassifierPipeline>) -> (u64, u64) {
-        let start = Instant::now();
-        let (old, new) = self.shared.slot.swap(pipeline);
-        if old != new {
-            self.shared.counters.swap_total.inc();
-            self.shared.counters.swap_latency.record(start.elapsed());
-            self.shared.obs.incident(&format!("server: model swap {old:#018x} -> {new:#018x}"));
-        }
-        (old, new)
-    }
-
-    /// Asks the acceptor and every shard to wind down. Like
-    /// [`Server::shutdown`](crate::Server::shutdown) this only sets a
-    /// flag that the readiness loops observe within one poll interval —
-    /// no wake-up connection, so refusal accounting only ever counts
-    /// real clients.
-    pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        for _ in 0..100 {
-            if self.shared.acceptor_done.load(Ordering::SeqCst) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    }
-
-    /// Waits for the acceptor and every shard, then merges the
-    /// per-shard statistics into one report. Blocks until either
-    /// [`ShardServer::shutdown`] or the accept limit drains.
-    pub fn join(mut self) -> Result<ServerStats> {
-        let mut merged = ServerStats::default();
-        let mut panicked = false;
-        if let Some(h) = self.acceptor.take() {
-            match h.join() {
-                Ok(admission) => merged.merge(&admission),
-                Err(_) => panicked = true,
-            }
-        }
-        for h in self.shards.drain(..) {
-            match h.join() {
-                Ok(stats) => merged.merge(&stats),
-                Err(_) => panicked = true,
-            }
-        }
-        if panicked {
-            return Err(ServeError::WorkerPanicked);
-        }
-        Ok(merged)
-    }
-}
-
-impl Drop for ShardServer {
-    fn drop(&mut self) {
-        if self.acceptor.is_some() || !self.shards.is_empty() {
-            self.shutdown();
-            if let Some(h) = self.acceptor.take() {
-                let _ = h.join();
-            }
-            for h in self.shards.drain(..) {
-                let _ = h.join();
-            }
-        }
-    }
-}
-
-/// Same depth→state mapping as the threaded server's overload update:
-/// queue depth is admissions beyond the nominal concurrency target.
-fn update_overload(shared: &ShardShared) -> OverloadState {
-    let depth =
-        shared.in_flight.load(Ordering::SeqCst).saturating_sub(shared.config.max_sessions.max(1));
-    let (state, entered_shedding) = shared.overload.lock().update(depth);
-    shared.queue_depth_gauge.set(depth as f64);
-    shared.overload_gauge.set(state.gauge_value());
-    if entered_shedding {
-        shared.obs.incident(&format!("server: load shedding engaged (queue depth {depth})"));
-    }
-    state
-}
-
-/// Readiness-driven acceptor: identical admission control to the
-/// threaded server (hard `SessionLimit` cap, then soft `Busy`
-/// shedding), dealing admitted sockets round-robin across the shard
-/// channels. Returns the admission-side statistics (rejected/busy),
-/// which it owns single-threaded — no lock on the refusal path.
-fn shard_accept_loop(
-    shared: &ShardShared,
-    listener: &TcpListener,
-    txs: Vec<Sender<TcpStream>>,
-) -> ServerStats {
-    let mut stats = ServerStats::default();
-    let capacity = shared.config.max_sessions.max(1) + shared.config.backlog;
-    let mut admitted = 0u64;
-    let mut next_shard = 0usize;
-    let _ = listener.set_nonblocking(true);
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        if shared.config.accept_limit.is_some_and(|limit| admitted >= limit) {
-            break;
-        }
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                let _ = crate::poll::wait_readable(listener, ACCEPT_POLL_INTERVAL);
-                continue;
-            }
-            Err(_) => {
-                std::thread::sleep(Duration::from_millis(1));
-                continue;
-            }
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            let _ = stream.set_nonblocking(false);
-            refuse(stream, ByeReason::Shutdown);
-            break;
-        }
-        if shared.in_flight.load(Ordering::SeqCst) >= capacity {
-            stats.sessions_rejected += 1;
-            shared.counters.rejected.inc();
-            let _ = stream.set_nonblocking(false);
-            refuse(stream, ByeReason::SessionLimit);
-            continue;
-        }
-        if update_overload(shared) == OverloadState::Shedding {
-            stats.sessions_busy += 1;
-            shared.counters.shed.inc();
-            let _ = stream.set_nonblocking(false);
-            refuse_busy(stream, shared.config.busy_retry_after);
-            continue;
-        }
-        shared.in_flight.fetch_add(1, Ordering::SeqCst);
-        admitted += 1;
-        if txs[next_shard % txs.len()].send(stream).is_err() {
-            shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-            break; // shards are gone; nothing can serve
-        }
-        next_shard = next_shard.wrapping_add(1);
-    }
-    shared.acceptor_done.store(true, Ordering::SeqCst);
-    stats
-    // Dropping `txs` disconnects the channels; drained shards exit.
-}
-
 /// One shard's event loop: drain the intake channel, poll every owned
 /// socket, pump reads, parse-and-serve frames zero-copy, flush writes,
 /// retire finished connections. Returns the shard's final stats.
-fn shard_loop(shared: &ShardShared, rx: &Receiver<TcpStream>) -> ServerStats {
+pub(crate) fn shard_loop(shared: &Shared, rx: &Receiver<TcpStream>) -> ServerStats {
     let mut stats = ServerStats::default();
     let mut conns: Vec<Conn> = Vec::new();
     let mut poll = PollSet::new();
@@ -542,8 +259,8 @@ fn shard_loop(shared: &ShardShared, rx: &Receiver<TcpStream>) -> ServerStats {
             match rx.try_recv() {
                 Ok(stream) => {
                     if shutting_down {
-                        // Admitted before the flag flipped; mirror the
-                        // threaded worker's post-shutdown refusal.
+                        // Admitted before the flag flipped: refuse it
+                        // before any session state exists.
                         stats.sessions_rejected += 1;
                         shared.counters.rejected.inc();
                         refuse(stream, ByeReason::Shutdown);
@@ -595,8 +312,8 @@ fn shard_loop(shared: &ShardShared, rx: &Receiver<TcpStream>) -> ServerStats {
         if shutting_down {
             for mut conn in conns.drain(..) {
                 let kind = match conn.sess.phase {
-                    // Mirror the threaded handshake: a client that never
-                    // said Hello is refused, which counts as a failure.
+                    // A client that never said Hello is refused,
+                    // which counts as a failure.
                     Phase::Handshake => {
                         CloseKind::Failed(ServeError::Rejected { reason: ByeReason::Shutdown })
                     }
@@ -667,7 +384,7 @@ fn serve_conn_turn(
     conn: &mut Conn,
     readable: bool,
     writable: bool,
-    shared: &ShardShared,
+    shared: &Shared,
     sobs: &ShardObs,
     scratch: &mut Vec<u8>,
     tmp: &mut [u8],
@@ -678,8 +395,7 @@ fn serve_conn_turn(
             Ok(eof) => {
                 serve_pending_frames(conn, shared, sobs, scratch);
                 if eof && conn.closing.is_none() {
-                    // Peer vanished without Bye: mirror the threaded
-                    // read path's ConnectionClosed.
+                    // Peer vanished without Bye.
                     conn.closing = Some(CloseKind::Failed(ServeError::ConnectionClosed));
                 }
             }
@@ -691,7 +407,7 @@ fn serve_conn_turn(
         }
     } else if conn.closing.is_none() {
         // Quiet socket: poll the swap epoch and the mid-frame stall
-        // budget, like the threaded loop's idle ticks.
+        // budget.
         rebuild_if_swapped(&mut conn.sess, shared, sobs);
         if let Some(started) = conn.io.frame_started {
             if !conn.io.read_buf.is_empty() && started.elapsed() > stall_budget {
@@ -728,7 +444,7 @@ fn retire(
     mut conn: Conn,
     kind: CloseKind,
     stats: &mut ServerStats,
-    shared: &ShardShared,
+    shared: &Shared,
     sobs: &ShardObs,
 ) {
     let Sess { gen, outcome, session_id, .. } = &mut conn.sess;
@@ -753,8 +469,8 @@ fn retire(
 
 /// If another session swapped the model, drain this connection's
 /// generation into its outcome and rebuild against the new pipeline —
-/// same-connection hot swap, exactly like the threaded `GenExit::Rebuild`.
-fn rebuild_if_swapped(sess: &mut Sess, shared: &ShardShared, sobs: &ShardObs) {
+/// same-connection hot swap.
+fn rebuild_if_swapped(sess: &mut Sess, shared: &Shared, sobs: &ShardObs) {
     let Some(gen) = sess.gen.as_ref() else { return };
     if shared.slot.epoch() == gen.epoch {
         return;
@@ -766,19 +482,13 @@ fn rebuild_if_swapped(sess: &mut Sess, shared: &ShardShared, sobs: &ShardObs) {
 /// Parses every complete frame in the connection's read buffer and
 /// serves it. Frames are decoded zero-copy: snapshot payloads are
 /// classified straight out of `read_buf`.
-fn serve_pending_frames(
-    conn: &mut Conn,
-    shared: &ShardShared,
-    sobs: &ShardObs,
-    scratch: &mut Vec<u8>,
-) {
+fn serve_pending_frames(conn: &mut Conn, shared: &Shared, sobs: &ShardObs, scratch: &mut Vec<u8>) {
     let Conn { io, sess, closing } = conn;
     let ConnIo { read_buf, write_buf, frame_started, .. } = io;
     let mut at = 0usize;
     let mut consumed_any = false;
     loop {
-        // Between frames is where swaps are observed, like the threaded
-        // loop checking the epoch before each read.
+        // Between frames is where swaps are observed.
         rebuild_if_swapped(sess, shared, sobs);
         let rest = &read_buf[at..];
         if rest.len() < 4 {
@@ -824,15 +534,17 @@ fn serve_pending_frames(
 }
 
 /// Serves one frame body (no length prefix) against the session,
-/// appending any reply to `write_buf`. The session semantics here are a
-/// line-for-line mirror of `session::run_generation`; the difference is
-/// purely mechanical (borrowed payloads, buffered writes).
+/// appending any reply to `write_buf`. The first frame must be a
+/// `Hello` (versioned handshake plus model fingerprint check against
+/// the shared [`ModelSlot`]); after that the client streams `Snapshot`
+/// or `SnapshotBatch` frames and interleaves `Classify`, `Health`,
+/// `Stats`, `SwapModel` and finally `Bye`.
 fn serve_frame(
     sess: &mut Sess,
     body: &[u8],
     arrival: Instant,
     write_buf: &mut Vec<u8>,
-    shared: &ShardShared,
+    shared: &Shared,
     sobs: &ShardObs,
     scratch: &mut Vec<u8>,
 ) -> Step {
@@ -1104,8 +816,8 @@ fn serve_frame(
     }
 }
 
-/// One flight-recorder incident per session degradation episode,
-/// mirroring `SessionObs::note_degraded`. Takes the latch alone so the
+/// One flight-recorder incident per session degradation episode: the
+/// first degraded frame, not all of them. Takes the latch alone so the
 /// caller can hold disjoint borrows into the rest of the session.
 fn note_degraded(noted: &mut bool, sobs: &ShardObs, session_id: u32, what: &str) {
     if !*noted {

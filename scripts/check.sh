@@ -15,24 +15,36 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test -q
 
+echo "== cargo test --workspace -q =="
+# Tier-1 above runs only the root package; this also runs the unit tests
+# inside every crate under crates/.
+cargo test --workspace -q
+
 echo "== server smoke test =="
 # Train a model, serve it on an ephemeral port, classify one workload
 # over TCP, and require a clean drain with a nonzero verdict count.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+# Polls a server log for its "listening on" line. Every caller creates
+# the log with `: > log` before backgrounding the server, so the first
+# `sed` never races the redirect that would otherwise create it.
+wait_addr() {
+    j=0
+    while [ "$j" -lt 100 ]; do
+        a=$(sed -n 's/^listening on //p' "$1")
+        [ -n "$a" ] && { echo "$a"; return 0; }
+        sleep 0.1
+        j=$((j + 1))
+    done
+    return 1
+}
 ./target/release/appclass train --out "$tmp/pipeline.json" --seed 42 > /dev/null
+: > "$tmp/serve.log"
 ./target/release/appclass serve --addr 127.0.0.1:0 --model "$tmp/pipeline.json" \
     --sessions 1 > "$tmp/serve.log" &
 serve_pid=$!
-addr=""
-i=0
-while [ "$i" -lt 100 ]; do
-    addr=$(sed -n 's/^listening on //p' "$tmp/serve.log")
-    [ -n "$addr" ] && break
-    sleep 0.1
-    i=$((i + 1))
-done
-[ -n "$addr" ] || { echo "server never announced its address"; kill "$serve_pid"; exit 1; }
+addr=$(wait_addr "$tmp/serve.log") \
+    || { echo "server never announced its address"; kill "$serve_pid"; exit 1; }
 ./target/release/appclass client --addr "$addr" --workload CH3D --seed 7 > "$tmp/client.log"
 wait "$serve_pid"
 grep -q "class:       CPU" "$tmp/client.log"
@@ -44,18 +56,12 @@ echo "== observability smoke test =="
 # stats fetch over the Stats control frame (the fetch occupies the
 # second slot). The exposition must be parseable "name value" lines and
 # count the classify that just happened.
+: > "$tmp/obs_serve.log"
 ./target/release/appclass serve --addr 127.0.0.1:0 --model "$tmp/pipeline.json" \
     --sessions 2 > "$tmp/obs_serve.log" &
 obs_pid=$!
-addr=""
-i=0
-while [ "$i" -lt 100 ]; do
-    addr=$(sed -n 's/^listening on //p' "$tmp/obs_serve.log")
-    [ -n "$addr" ] && break
-    sleep 0.1
-    i=$((i + 1))
-done
-[ -n "$addr" ] || { echo "observability server never announced its address"; kill "$obs_pid"; exit 1; }
+addr=$(wait_addr "$tmp/obs_serve.log") \
+    || { echo "observability server never announced its address"; kill "$obs_pid"; exit 1; }
 ./target/release/appclass client --addr "$addr" --workload CH3D --seed 7 > /dev/null
 ./target/release/appclass stats --addr "$addr" > "$tmp/stats.log"
 wait "$obs_pid"
@@ -69,20 +75,11 @@ echo "== persistence & hot-swap smoke test =="
 # client pinned to the old fingerprint must still be admitted. Finally
 # retrain, hot-swap the running server, and require the swap in the
 # stats exposition with zero errored sessions.
-wait_addr() {
-    j=0
-    while [ "$j" -lt 100 ]; do
-        a=$(sed -n 's/^listening on //p' "$1")
-        [ -n "$a" ] && { echo "$a"; return 0; }
-        sleep 0.1
-        j=$((j + 1))
-    done
-    return 1
-}
 ./target/release/appclass train --out "$tmp/v1.json" --seed 42 --store "$tmp/store" > /dev/null
 ./target/release/appclass models --store "$tmp/store" | grep -q '^\*0x'
 
 # First lifetime: serve the store's HEAD and classify once.
+: > "$tmp/persist_a.log"
 ./target/release/appclass serve --addr 127.0.0.1:0 --store "$tmp/store" \
     --sessions 1 > "$tmp/persist_a.log" &
 pa_pid=$!
@@ -95,6 +92,7 @@ wait "$pa_pid"
 
 # Second lifetime: restart from disk. Same fingerprint, and a client
 # pinned to the pre-restart fingerprint is still admitted.
+: > "$tmp/persist_b.log"
 ./target/release/appclass serve --addr 127.0.0.1:0 --store "$tmp/store" \
     --sessions 4 > "$tmp/persist_b.log" &
 pb_pid=$!
@@ -120,12 +118,13 @@ grep -q ", 0 errored" "$tmp/persist_b.log"
 echo "persistence smoke OK ($fp1 restored, hot swap observed, zero errored sessions)"
 
 echo "== overload shedding smoke test =="
-# A single-worker server with a tiny shedding queue, flooded by four
-# concurrent Busy-aware clients: at least one connection must be
-# soft-refused (serve_shed_total > 0 in the exposition, which must stay
-# parseable), and every refused client must still classify successfully
-# after backing off. The generous --frame-deadline-ms exercises the
+# A server with an admission target of one and a tiny shedding queue,
+# flooded by four concurrent Busy-aware clients: at least one connection
+# must be soft-refused (serve_shed_total > 0 in the exposition, which
+# must stay parseable), and every refused client must still classify
+# successfully after backing off. The generous --frame-deadline-ms exercises the
 # deadline plumbing without shedding anything over loopback.
+: > "$tmp/overload_serve.log"
 ./target/release/appclass serve --addr 127.0.0.1:0 --model "$tmp/pipeline.json" \
     --sessions 5 --max-sessions 1 --backlog 4 --shed-high 1 --shed-low 0 \
     --retry-after-ms 25 --frame-deadline-ms 5000 > "$tmp/overload_serve.log" &
@@ -174,10 +173,11 @@ spans=$(grep -c '"process":' "$tmp/trace.log")
 echo "trace smoke OK ($spans spans assembled across both processes)"
 
 echo "== sharded fleet smoke test =="
-# The sharded readiness-loop server fronting a compressed fleet replay:
-# 40 simulated VMs from a diurnal+bursty arrival plan, all of which must
+# A two-shard server fronting a compressed fleet replay: 40 simulated
+# VMs from a diurnal+bursty arrival plan, all of which must
 # be served (capacity is provisioned above the herd), with the server
 # draining cleanly after exactly that many sessions.
+: > "$tmp/fleet_serve.log"
 ./target/release/appclass serve --addr 127.0.0.1:0 --model "$tmp/pipeline.json" \
     --shards 2 --max-sessions 64 --sessions 40 > "$tmp/fleet_serve.log" &
 fl_pid=$!

@@ -141,7 +141,7 @@ fn vm_stream(base: &[Snapshot], vm: u32, frames: usize) -> Vec<Snapshot> {
 /// (1 = single-frame path).
 ///
 /// Every VM is one OS thread sleeping until its compressed start time —
-/// the same thread-per-session shape as the serving tests, so hundreds
+/// the same one-thread-per-client shape as the serving tests, so hundreds
 /// of VMs are fine. Refused VMs (`Busy`/`Bye`) do not retry: the report
 /// counts them so the caller can reason about shedding behaviour.
 pub fn run_fleet(

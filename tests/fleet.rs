@@ -5,7 +5,7 @@
 mod common;
 
 use appclass::fleet::{run_fleet, workload_streams};
-use appclass::serve::{ServerConfig, ShardServer};
+use appclass::serve::{Server, ServerConfig};
 use appclass::sim::fleet::{FleetConfig, FleetPlan};
 use std::sync::Arc;
 
@@ -27,7 +27,7 @@ fn overloaded_fleet_degrades_gracefully_with_exact_accounting() {
     let plan = FleetPlan::generate(&config, 2024);
     assert!(plan.peak_to_mean(288) > 2.0, "the plan must actually be bursty");
 
-    let server = ShardServer::bind(
+    let server = Server::bind(
         "127.0.0.1:0",
         Arc::new(common::trained_pipeline()),
         ServerConfig {
@@ -90,7 +90,7 @@ fn provisioned_fleet_serves_everyone() {
     let config =
         FleetConfig { vms: 60, bursts: 1, min_frames: 8, max_frames: 24, ..FleetConfig::default() };
     let plan = FleetPlan::generate(&config, 7);
-    let server = ShardServer::bind(
+    let server = Server::bind(
         "127.0.0.1:0",
         Arc::new(common::trained_pipeline()),
         ServerConfig { max_sessions: 96, backlog: 32, shards: 2, ..ServerConfig::default() },

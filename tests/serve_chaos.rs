@@ -1,7 +1,7 @@
 //! Socket-level chaos: every transport fault the [`ChaosProxy`] can
 //! inject — torn writes, mid-frame stalls, abrupt aborts, byte flips —
 //! must surface as a typed error or a clean success, never a panic or a
-//! wedged worker, and the same seed must inject bitwise-identical
+//! wedged shard, and the same seed must inject bitwise-identical
 //! faults.
 //!
 //! This is the transport-layer counterpart of the frame-layer chaos in

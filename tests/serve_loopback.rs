@@ -353,10 +353,10 @@ fn frame_budget_applies_to_batched_items() {
     assert_eq!(stats.sessions_finished, 1, "a budget cut is a clean end, not an error");
 }
 
-/// Admission control: with one worker and no backlog, a second
-/// connection arriving while the first session is parked must be
-/// refused with `Bye(SessionLimit)` — and the refusal must be typed on
-/// the client side.
+/// Admission control: with an admission target of one and no backlog,
+/// a second connection arriving while the first session is parked must
+/// be refused with `Bye(SessionLimit)` — and the refusal must be typed
+/// on the client side.
 #[test]
 fn overflow_connection_is_refused_with_session_limit() {
     let pipeline = Arc::new(common::trained_pipeline());
@@ -366,7 +366,7 @@ fn overflow_connection_is_refused_with_session_limit() {
 
     let occupant = ServeClient::connect(addr, ClientConfig::default()).unwrap();
     // The occupant's handshake round-trip proves its session is being
-    // served, so the slot (and the whole pool) is now busy.
+    // served, so the only admission slot is now taken.
     let refused = match ServeClient::connect(addr, ClientConfig::default()) {
         Err(ServeError::Rejected { reason }) => reason,
         Err(other) => panic!("second connection must be refused cleanly, got error {other}"),
@@ -692,7 +692,7 @@ fn trace_propagates_end_to_end_and_old_clients_classify_identically() {
     assert_eq!(jsonl.lines().count(), tree.len(), "one JSONL line per assembled span");
 }
 
-/// The ISSUE 9 SLO acceptance test: flooding a single-worker server past
+/// The SLO acceptance test: flooding a single-session server past
 /// its per-frame deadline budget drives the shed-ratio SLO's burn rate
 /// over 1.0 in both windows within one evaluation, latches exactly one
 /// flight-recorder incident for the episode (no alert spam on repeated

@@ -41,10 +41,11 @@ fn shedding_server_refuses_with_busy_and_recovers() {
     let server = Server::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
     let addr = server.local_addr();
 
-    // The occupant's completed handshake proves the one worker is taken.
+    // The occupant's completed handshake proves the admission target is
+    // reached.
     let occupant = ServeClient::connect(addr, ClientConfig::default()).unwrap();
-    // A raw connection parks in the admission queue (it never sends its
-    // `Hello`, so it cannot be served yet) — queue depth becomes 1.
+    // A raw connection is admitted past the target (it never sends its
+    // `Hello`, so it holds its slot) — queue depth becomes 1.
     let parked = TcpStream::connect(addr).unwrap();
     // The next arrival sees depth >= high watermark: soft-refused.
     match ServeClient::connect(addr, ClientConfig::default()) {

@@ -1,15 +1,16 @@
 //! The zero-copy decode contract: `decode_control_borrowed` must be
 //! bit-identical to the allocating `decode_control` on every input —
-//! accepted or rejected — and the sharded server built on it must
-//! produce verdicts bit-identical to the threaded server on all five
+//! accepted or rejected — and the server built on it must produce
+//! verdicts bit-identical to the in-process classifier on all five
 //! training workloads.
 
 mod common;
 
+use appclass::core::online::OnlineClassifier;
 use appclass::metrics::wire::{self, ControlFrameRef};
 use appclass::metrics::{ControlFrame, NodeId, Snapshot};
 use appclass::prelude::AppClass;
-use appclass::serve::{ClientConfig, ServeClient, Server, ServerConfig, ShardServer};
+use appclass::serve::{ClientConfig, ServeClient, Server, ServerConfig};
 use appclass::sim::runner::run_spec;
 use appclass::sim::workload::registry::training_specs;
 use appclass_obs::TraceContext;
@@ -108,65 +109,61 @@ proptest! {
     }
 }
 
-/// End-to-end bit-identity on all five training workload seeds: one
-/// snapshot stream per workload, replayed against both the threaded
-/// server (owning decode, blocking I/O) and the sharded server
-/// (borrowed decode, readiness loop). Classes, confidence bits,
-/// composition bits and guard health must all match exactly — the
-/// execution model must be unobservable in the verdicts.
+/// End-to-end bit-identity on all five training workloads: one snapshot
+/// stream per workload, served over loopback once frame by frame and
+/// once in batches of 32, against an in-process `OnlineClassifier` fed
+/// the same snapshots through `push_guarded`. Class, confidence bits,
+/// composition bits and guard health must all match exactly — neither
+/// the zero-copy decode, the batch path nor the event loop may be
+/// observable in the verdicts.
 #[test]
-fn sharded_and_threaded_servers_verdict_bit_identically_on_all_workloads() {
+fn served_verdicts_match_the_in_process_classifier_on_all_workloads() {
     let pipeline = Arc::new(common::trained_pipeline());
-    let threaded =
+    let server =
         Server::bind("127.0.0.1:0", Arc::clone(&pipeline), ServerConfig::default()).unwrap();
-    let sharded = ShardServer::bind(
-        "127.0.0.1:0",
-        Arc::clone(&pipeline),
-        ServerConfig { shards: 2, ..ServerConfig::default() },
-    )
-    .unwrap();
 
     for (i, spec) in training_specs().iter().enumerate() {
         let rec = run_spec(spec, NodeId(40 + i as u32), 7000 + i as u64);
         let snaps: Vec<Snapshot> =
             rec.pool.snapshots().iter().filter(|s| s.node == rec.node).cloned().collect();
 
-        let classify_on = |addr: std::net::SocketAddr| {
+        let mut local = OnlineClassifier::new(&pipeline);
+        for s in &snaps {
+            local.push_guarded(s).unwrap();
+        }
+        let class = local.current_class().expect("a full stream yields a class");
+
+        for batch in [None, Some(32)] {
             let mut client =
-                ServeClient::connect(addr, ClientConfig { model_id: 0, chaos: None, tracer: None })
-                    .unwrap();
-            client.stream_snapshots(&snaps).unwrap();
+                ServeClient::connect(server.local_addr(), ClientConfig::default()).unwrap();
+            match batch {
+                None => client.stream_snapshots(&snaps).unwrap(),
+                Some(n) => {
+                    client.stream_batch(&snaps, n).unwrap();
+                }
+            }
             let verdict = client.classify().unwrap();
             let health = client.health().unwrap();
             client.bye().unwrap();
-            (verdict, health)
-        };
-        let (vt, ht) = classify_on(threaded.local_addr());
-        let (vs, hs) = classify_on(sharded.local_addr());
 
-        assert_eq!(vs.class, vt.class, "workload {} diverged in class", spec.name);
-        assert_eq!(
-            vs.confidence.to_bits(),
-            vt.confidence.to_bits(),
-            "workload {} diverged in confidence bits",
-            spec.name
-        );
-        for class in AppClass::ALL {
+            let path = format!("workload {} (batch {batch:?})", spec.name);
+            assert_eq!(verdict.class, class, "{path} diverged in class");
             assert_eq!(
-                vs.composition.fraction(class).to_bits(),
-                vt.composition.fraction(class).to_bits(),
-                "workload {} diverged in composition ({class:?})",
-                spec.name
+                verdict.confidence.to_bits(),
+                local.confidence().to_bits(),
+                "{path} diverged in confidence bits"
             );
+            for c in AppClass::ALL {
+                assert_eq!(
+                    verdict.composition.fraction(c).to_bits(),
+                    local.composition().fraction(c).to_bits(),
+                    "{path} diverged in composition ({c:?})"
+                );
+            }
+            assert_eq!(&health, local.telemetry(), "{path} diverged in guard health");
         }
-        assert_eq!(hs.seen, ht.seen, "workload {}: guard saw different frames", spec.name);
-        assert_eq!(hs.accepted, ht.accepted);
-        assert_eq!(hs.repaired, ht.repaired);
-        assert_eq!(hs.dropped, ht.dropped);
     }
 
-    threaded.shutdown();
-    sharded.shutdown();
-    assert_eq!(threaded.join().unwrap().session_errors, 0);
-    assert_eq!(sharded.join().unwrap().session_errors, 0);
+    server.shutdown();
+    assert_eq!(server.join().unwrap().session_errors, 0);
 }
