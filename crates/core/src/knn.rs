@@ -3,22 +3,23 @@
 //! "The k-NN classifier decides the class by considering the votes of k (an
 //! odd number) nearest neighbors" (§3); the paper uses **3-NN** following
 //! Kapadia's finding that nearest-neighbour methods beat locally weighted
-//! regression for this kind of data. Each test snapshot's distance to every
-//! training snapshot is computed in the PCA feature space, the three
-//! nearest vote, and ties break toward the class of the single nearest
-//! neighbour — deterministic, like everything in this reproduction.
+//! regression for this kind of data. The k training snapshots nearest to a
+//! test snapshot in the PCA feature space vote, and ties break toward the
+//! class of the single nearest neighbour — deterministic, like everything
+//! in this reproduction.
 //!
-//! Batches take a blocked hot path: per-training-row squared norms are
-//! computed once at construction, a query block's distances come from the
-//! `|x|² + |t|² − 2·x·t` expansion ([`appclass_linalg::batch`]), and the
-//! candidate top-k is re-scored with the scalar kernel before voting so
-//! batch labels stay **bitwise-identical** to the streaming path
-//! (DESIGN.md §10).
+//! The neighbours come from a static k-d tree built over the training
+//! points at construction. The search is exact: it returns the same k
+//! neighbours, in the same `(distance, index)` order, as a scan of every
+//! training row would, so streaming, batched and threaded classification
+//! all give **bitwise-identical** labels (DESIGN.md §10). On the paper's
+//! model (677 rows in two dimensions) it scores about 40 rows per query
+//! instead of all of them.
 
 use crate::class::AppClass;
 use crate::error::{Error, Result};
 use crate::stage::{encode_classes, Stage, StreamingStage};
-use appclass_linalg::{batch, vector, Matrix};
+use appclass_linalg::{vector, Matrix};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::sync::OnceLock;
 
@@ -45,6 +46,30 @@ impl Distance {
             Distance::Chebyshev => vector::chebyshev(a, b),
         }
     }
+
+    /// A lower bound on [`Distance::eval`]`(q, p)` for every `p` in the
+    /// box `[lo, hi]`. Each coordinate's gap to the box is `≤ |q_c − p_c|`
+    /// as rounded, and the gaps are combined with the same ops in the same
+    /// order as `eval` combines `|q_c − p_c|`. Rounding is monotone, so the
+    /// bound never exceeds `eval` — which is what lets the tree search
+    /// prune without ever losing a neighbour the full scan would pick.
+    #[inline]
+    fn lower_bound(self, q: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
+        let gaps = q.iter().zip(lo.iter().zip(hi)).map(|(&x, (&l, &h))| {
+            if x < l {
+                l - x
+            } else if x > h {
+                x - h
+            } else {
+                0.0
+            }
+        });
+        match self {
+            Distance::Euclidean => gaps.map(|g| g * g).sum(),
+            Distance::Manhattan => gaps.sum(),
+            Distance::Chebyshev => gaps.fold(0.0f64, f64::max),
+        }
+    }
 }
 
 /// Worker count for large batches, looked up once per process rather
@@ -53,6 +78,194 @@ fn knn_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS
         .get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).max(1))
+}
+
+/// Most training rows a k-d tree leaf holds.
+const LEAF_ROWS: usize = 32;
+
+/// Deepest tree the fixed-size traversal stack can walk. Each level
+/// halves a node's rows, so no row count that fits in memory comes close.
+const MAX_DEPTH: usize = 64;
+
+/// Start of the `j`-th of the `2^level` equal node spans over `n` rows.
+/// Span `j` of a level is split at the start of span `2j + 1` of the next.
+#[inline]
+fn span_start(n: usize, level: u32, j: usize) -> usize {
+    ((j as u128 * n as u128) >> level) as usize
+}
+
+/// A static, balanced k-d tree over the training points.
+///
+/// The tree is implicit: node `h` has children `2h + 1` and `2h + 2`, all
+/// `2^depth` leaves sit on the last level, and leaf `j` holds leaf-order
+/// rows `[span_start(n, depth, j), span_start(n, depth, j + 1))`. The
+/// only storage is three flat arrays.
+#[derive(Debug, Clone, PartialEq)]
+struct KdTree {
+    dim: usize,
+    depth: u32,
+    /// The training points in leaf order, row-major.
+    points: Vec<f64>,
+    /// The training-row index of each leaf-order point.
+    ids: Vec<usize>,
+    /// Node `h`'s bounding box: `dim` lows then `dim` highs at `2·dim·h`.
+    boxes: Vec<f64>,
+}
+
+impl KdTree {
+    /// Builds the tree without recursion or per-node allocation. Top-down,
+    /// every internal node is split at its middle row
+    /// (`select_nth_unstable_by`) along the widest side of its cell: the
+    /// root's bounding box, narrowed at each ancestor's split. Cells are
+    /// kept in `boxes` only until, bottom-up, the leaves get their tight
+    /// boxes and every parent the union of its children's. Only those
+    /// tight boxes matter for exactness; the cells and splits only shape
+    /// how much gets pruned.
+    fn build(points: &Matrix) -> KdTree {
+        let (n, dim) = (points.rows(), points.cols());
+        let data = points.as_slice();
+        let mut depth = 0u32;
+        while n.div_ceil(1 << depth) > LEAF_ROWS {
+            depth += 1;
+        }
+        let first_leaf = (1usize << depth) - 1;
+        let w = 2 * dim;
+        let mut boxes = vec![0.0; (2 * first_leaf + 1) * w];
+        fit_box(&mut boxes[..w], data);
+        let mut ids: Vec<usize> = (0..n).collect();
+        for level in 0..depth {
+            for j in 0..1usize << level {
+                let h = (1usize << level) - 1 + j;
+                let (lo, hi) = boxes[w * h..w * (h + 1)].split_at(dim);
+                let axis = (0..dim)
+                    .max_by(|&a, &b| (hi[a] - lo[a]).total_cmp(&(hi[b] - lo[b])))
+                    .expect("dim > 0");
+                let (start, end) = (span_start(n, level, j), span_start(n, level, j + 1));
+                let mid = span_start(n, level + 1, 2 * j + 1);
+                ids[start..end].select_nth_unstable_by(mid - start, |&a, &b| {
+                    data[a * dim + axis].total_cmp(&data[b * dim + axis])
+                });
+                let split = data[ids[mid] * dim + axis];
+                let (l, r) = (2 * h + 1, 2 * h + 2);
+                boxes.copy_within(w * h..w * (h + 1), w * l);
+                boxes.copy_within(w * h..w * (h + 1), w * r);
+                boxes[w * l + dim + axis] = split;
+                boxes[w * r + axis] = split;
+            }
+        }
+        // Lay the points out in leaf order, fitting each leaf's box as it
+        // fills.
+        let mut leaf_points = Vec::with_capacity(n * dim);
+        for j in 0..=first_leaf {
+            let start = leaf_points.len();
+            for &i in &ids[span_start(n, depth, j)..span_start(n, depth, j + 1)] {
+                leaf_points.extend_from_slice(&data[i * dim..(i + 1) * dim]);
+            }
+            let h = first_leaf + j;
+            fit_box(&mut boxes[w * h..w * (h + 1)], &leaf_points[start..]);
+        }
+        for h in (0..first_leaf).rev() {
+            let (parent, children) = boxes.split_at_mut(w * (2 * h + 1));
+            let (l, r) = children[..2 * w].split_at(w);
+            let b = &mut parent[w * h..];
+            for c in 0..dim {
+                b[c] = l[c].min(r[c]);
+                b[dim + c] = l[dim + c].max(r[dim + c]);
+            }
+        }
+        KdTree { dim, depth, points: leaf_points, ids, boxes }
+    }
+
+    /// Fills `best` with the `best.len()` training rows nearest to `q`,
+    /// ranked by `(distance, index)`: exactly what a scan of every row
+    /// would pick, ties going to the earliest index. A subtree is skipped
+    /// only when its box's lower bound is *strictly* above the current
+    /// k-th distance — an equal distance could still win on index.
+    ///
+    /// `best` must arrive filled with `(+∞, usize::MAX)` sentinels. The
+    /// traversal stack is fixed-size, so the search never allocates.
+    /// Always inlined, so a caller passing a constant `metric` gets a copy
+    /// of the loop with the metric's `match` folded away.
+    #[inline(always)]
+    fn nearest(&self, metric: Distance, q: &[f64], best: &mut [(f64, usize)]) {
+        let (dim, n) = (self.dim, self.ids.len());
+        let first_leaf = (1usize << self.depth) - 1;
+        let bound = |h: usize| {
+            let b = &self.boxes[2 * dim * h..2 * dim * (h + 1)];
+            metric.lower_bound(q, &b[..dim], &b[dim..])
+        };
+        let mut stack = [(0usize, 0.0f64); MAX_DEPTH];
+        let mut sp = 0;
+        let (mut h, mut lb) = (0usize, 0.0f64);
+        loop {
+            if lb <= best[best.len() - 1].0 {
+                if h < first_leaf {
+                    // Descend into the nearer child; come back for the other.
+                    let (l, r) = (2 * h + 1, 2 * h + 2);
+                    let (lb_l, lb_r) = (bound(l), bound(r));
+                    let (near, far) =
+                        if lb_l <= lb_r { ((l, lb_l), (r, lb_r)) } else { ((r, lb_r), (l, lb_l)) };
+                    stack[sp] = far;
+                    sp += 1;
+                    (h, lb) = near;
+                    continue;
+                }
+                let j = h - first_leaf;
+                let (start, end) = (span_start(n, self.depth, j), span_start(n, self.depth, j + 1));
+                for r in start..end {
+                    let d = metric.eval(q, &self.points[r * dim..(r + 1) * dim]);
+                    offer(best, d, self.ids[r]);
+                }
+            }
+            if sp == 0 {
+                return;
+            }
+            sp -= 1;
+            (h, lb) = stack[sp];
+        }
+    }
+}
+
+/// Writes the bounding box of the row-major `rows` into `b` (`dim` lows
+/// then `dim` highs).
+fn fit_box(b: &mut [f64], rows: &[f64]) {
+    let dim = b.len() / 2;
+    let (lo, hi) = b.split_at_mut(dim);
+    lo.fill(f64::INFINITY);
+    hi.fill(f64::NEG_INFINITY);
+    for row in rows.chunks_exact(dim) {
+        for ((l, h), &v) in lo.iter_mut().zip(hi.iter_mut()).zip(row) {
+            if v < *l {
+                *l = v;
+            }
+            if v > *h {
+                *h = v;
+            }
+        }
+    }
+}
+
+/// Offers `(d, i)` to the sorted top-k buffer `best`, keeping the k
+/// smallest pairs in lexicographic `(distance, index)` order whatever
+/// order the pairs arrive in.
+#[inline]
+fn offer(best: &mut [(f64, usize)], d: f64, i: usize) {
+    let mut pos = best.len() - 1;
+    let (kd, ki) = best[pos];
+    // One predictable compare dismisses most candidates.
+    if d > kd || (d == kd && i > ki) {
+        return;
+    }
+    // Insertion step: shift larger pairs up one slot (k is tiny).
+    while pos > 0 {
+        let (bd, bi) = best[pos - 1];
+        if bd < d || (bd == d && bi < i) {
+            break;
+        }
+        best[pos] = best[pos - 1];
+        pos -= 1;
+    }
+    best[pos] = (d, i);
 }
 
 /// A trained k-NN classifier over labelled points in feature space.
@@ -83,22 +296,18 @@ pub struct KnnClassifier {
     points: Matrix,
     labels: Vec<AppClass>,
     distance: Distance,
-    /// Per-training-row squared norms, precomputed for the batch kernel.
-    /// Derived from `points`, so excluded from the serialized form and
-    /// rebuilt on deserialization.
-    norms: Vec<f64>,
-    /// `max(norms)`, for the expansion error margin.
-    max_norm: f64,
-    /// Column-major copy of `points` for the vectorizable expansion
-    /// kernel. Derived, like `norms`.
-    cols: batch::TrainingColumns,
+    /// The neighbour index over `points`. Derived, so excluded from the
+    /// serialized form and rebuilt on deserialization.
+    index: KdTree,
 }
 
 impl KnnClassifier {
     /// Builds a classifier from training points (rows) and their labels.
     ///
     /// `k` must be odd and positive (the paper uses 3). If fewer training
-    /// points than `k` exist, every vote uses all of them.
+    /// points than `k` exist, every vote uses all of them. Non-finite
+    /// coordinates are rejected: they would poison both the distances and
+    /// the index's bounding boxes.
     pub fn new(
         k: usize,
         points: Matrix,
@@ -108,16 +317,15 @@ impl KnnClassifier {
         if k == 0 || k.is_multiple_of(2) {
             return Err(Error::BadK { k });
         }
-        if points.rows() == 0 || labels.is_empty() {
+        if points.rows() == 0 || points.cols() == 0 || labels.is_empty() {
             return Err(Error::NoTrainingData);
         }
         if points.rows() != labels.len() {
             return Err(Error::FeatureMismatch { expected: points.rows(), got: labels.len() });
         }
-        let norms = batch::row_sq_norms(&points);
-        let max_norm = norms.iter().cloned().fold(0.0, f64::max);
-        let cols = batch::TrainingColumns::from_matrix(&points);
-        Ok(KnnClassifier { k, points, labels, distance, norms, max_norm, cols })
+        points.check_finite().map_err(Error::Linalg)?;
+        let index = KdTree::build(&points);
+        Ok(KnnClassifier { k, points, labels, distance, index })
     }
 
     /// The paper's configuration: 3-NN with Euclidean distance.
@@ -150,65 +358,6 @@ impl KnnClassifier {
         &self.labels
     }
 
-    /// Top-k selection and majority vote over `(distance, index)` pairs,
-    /// fed in increasing index order. This is *the* neighbour-selection
-    /// rule: both the streaming path and the batch candidate re-score
-    /// funnel through it, which is what makes them bitwise-identical.
-    fn vote(&self, k: usize, pairs: impl Iterator<Item = (f64, usize)>) -> AppClass {
-        // Partial selection of the k smallest distances. k is tiny (3), so
-        // a simple insertion pass over a fixed-size buffer beats sorting
-        // the whole distance vector. Unfilled slots hold +∞ sentinels, so
-        // real (finite) distances always sort before them and the filled
-        // entries form a sorted prefix — which keeps the per-call buffer
-        // on the stack for any reasonable k (the online hot path must not
-        // allocate).
-        const STACK_K: usize = 32;
-        let mut stack_buf = [(f64::INFINITY, usize::MAX); STACK_K];
-        let mut heap_buf: Vec<(f64, usize)>;
-        let best: &mut [(f64, usize)] = if k <= STACK_K {
-            &mut stack_buf[..k]
-        } else {
-            heap_buf = vec![(f64::INFINITY, usize::MAX); k];
-            &mut heap_buf
-        };
-        for (d, i) in pairs {
-            // Fast reject: the buffer is sorted, so `d` belongs in the top
-            // k iff it beats the current kth entry (`partition_point`
-            // below lands at `k` exactly when `d >= best[k-1].0`, ties
-            // included). One predictable compare dismisses the vast
-            // majority of candidates; NaN fails the compare and falls
-            // through to the insertion path, where it sorts the same way
-            // it always did.
-            if d >= best[k - 1].0 {
-                continue;
-            }
-            // Insert in sorted order if it belongs in the top k. `<` keeps
-            // the earliest index on exact ties → determinism.
-            let pos = best.partition_point(|&(bd, _)| bd <= d);
-            if pos < k {
-                best[pos..].rotate_right(1);
-                best[pos] = (d, i);
-            }
-        }
-
-        // Vote over the filled prefix.
-        let filled = best.partition_point(|&(_, i)| i != usize::MAX);
-        let best = &best[..filled];
-        let mut counts = [0usize; 5];
-        for &(_, i) in best {
-            counts[self.labels[i].index()] += 1;
-        }
-        let max_count = *counts.iter().max().expect("five classes");
-        // Tie-break: the nearest neighbour whose class has max_count wins.
-        for &(_, i) in best {
-            let c = self.labels[i];
-            if counts[c.index()] == max_count {
-                return c;
-            }
-        }
-        unreachable!("best is non-empty");
-    }
-
     /// Classifies one point: the majority vote of its k nearest training
     /// neighbours, ties broken by the nearest neighbour among the tied
     /// classes.
@@ -222,114 +371,45 @@ impl KnnClassifier {
         if let Some(col) = point.iter().position(|v| !v.is_finite()) {
             return Err(Error::Linalg(appclass_linalg::Error::NonFinite { row: 0, col }));
         }
-        let k = self.k.min(self.points.rows());
-        Ok(self.vote(
-            k,
-            self.points.iter_rows().enumerate().map(|(i, row)| (self.distance.eval(point, row), i)),
-        ))
+        Ok(self.classify_valid(point))
     }
 
-    /// Classifies one query row given its precomputed norm-expansion
-    /// distance row `d_exp` (one entry per training point). Selects the
-    /// candidate top-k by expansion distance, then re-scores candidates
-    /// with the scalar kernel so the result is bitwise-identical to
-    /// [`KnnClassifier::classify`].
-    fn classify_expansion_row(&self, point: &[f64], d_exp: &[f64], q_norm: f64) -> AppClass {
-        let n = self.points.rows();
-        let k = self.k.min(n);
-        // The margin argument needs finite arithmetic end to end; with
-        // norms near overflow the expansion can produce ±∞/NaN entries,
-        // so fall back to the exact full scan for this row.
-        let scale = q_norm + self.max_norm;
-        if !(4.0 * scale).is_finite() {
-            return self.vote(
-                k,
-                self.points
-                    .iter_rows()
-                    .enumerate()
-                    .map(|(i, row)| (vector::sq_euclidean(point, row), i)),
-            );
-        }
-        // τ = kth-smallest expansion distance. Any index the exact rule
-        // would select sits within twice the expansion error of τ, so the
-        // candidate cut below cannot lose a true neighbour.
+    /// [`KnnClassifier::classify`] of a point already known to have the
+    /// right width and only finite coordinates.
+    fn classify_valid(&self, point: &[f64]) -> AppClass {
+        // The top-k buffer lives on the stack for any reasonable k, so the
+        // streaming path does not allocate.
         const STACK_K: usize = 32;
-        let mut stack_buf = [f64::INFINITY; STACK_K];
-        let mut heap_buf: Vec<f64>;
-        let top: &mut [f64] = if k <= STACK_K {
+        let k = self.k.min(self.n_training());
+        let mut stack_buf = [(f64::INFINITY, usize::MAX); STACK_K];
+        let mut heap_buf: Vec<(f64, usize)>;
+        let best: &mut [(f64, usize)] = if k <= STACK_K {
             &mut stack_buf[..k]
         } else {
-            heap_buf = vec![f64::INFINITY; k];
+            heap_buf = vec![(f64::INFINITY, usize::MAX); k];
             &mut heap_buf
         };
-        for &d in d_exp {
-            // Same fast-reject as `vote`: skip unless `d` strictly beats
-            // the current kth-smallest (NaN falls through, unchanged).
-            if d >= top[k - 1] {
-                continue;
-            }
-            let pos = top.partition_point(|&bd| bd <= d);
-            if pos < k {
-                top[pos..].rotate_right(1);
-                top[pos] = d;
-            }
+        match self.distance {
+            Distance::Euclidean => self.index.nearest(Distance::Euclidean, point, best),
+            Distance::Manhattan => self.index.nearest(Distance::Manhattan, point, best),
+            Distance::Chebyshev => self.index.nearest(Distance::Chebyshev, point, best),
         }
-        let tau = top[k - 1];
-        let cutoff = tau + 2.0 * batch::expansion_margin(self.dim(), q_norm, self.max_norm);
-        self.vote(
-            k,
-            d_exp
-                .iter()
-                .enumerate()
-                .filter(|&(_, d)| *d <= cutoff)
-                .map(|(j, _)| (vector::sq_euclidean(point, self.points.row(j)), j)),
-        )
-    }
 
-    /// Classifies the contiguous query rows `[row0, row0 + out.len())` of
-    /// `samples` via the blocked expansion kernel, writing into `out`.
-    fn classify_block_euclidean(
-        &self,
-        samples: &Matrix,
-        row0: usize,
-        q_norms: &[f64],
-        out: &mut [AppClass],
-    ) {
-        let q = self.dim();
-        let n = self.points.rows();
-        let data = samples.as_slice();
-        // Block height balances scratch size (block × n distances) against
-        // per-block kernel dispatch; 8 rows of distances against a few
-        // thousand training rows keeps the scratch (and the re-scored
-        // candidate rows) resident in L1/L2 between the kernel pass and
-        // the selection scan.
-        const Q_BLOCK: usize = 8;
-        let end = row0 + out.len();
-        let mut scratch = Vec::new();
-        let mut r0 = row0;
-        while r0 < end {
-            let r1 = (r0 + Q_BLOCK).min(end);
-            batch::sq_distance_cols_into(
-                &data[r0 * q..r1 * q],
-                q,
-                &q_norms[r0..r1],
-                &self.cols,
-                &self.norms,
-                &mut scratch,
-            );
-            for row_idx in r0..r1 {
-                let point = &data[row_idx * q..(row_idx + 1) * q];
-                let d_exp = &scratch[(row_idx - r0) * n..(row_idx - r0 + 1) * n];
-                out[row_idx - row0] = self.classify_expansion_row(point, d_exp, q_norms[row_idx]);
-            }
-            r0 = r1;
+        let mut counts = [0usize; 5];
+        for &(_, i) in best.iter() {
+            counts[self.labels[i].index()] += 1;
         }
+        let max_count = *counts.iter().max().expect("five classes");
+        // Tie-break: the nearest neighbour whose class has max_count wins.
+        best.iter()
+            .map(|&(_, i)| self.labels[i])
+            .find(|c| counts[c.index()] == max_count)
+            .expect("k >= 1 neighbours")
     }
 
     /// Classifies every row of a sample matrix — the paper's class vector
-    /// `C(1×m)`. Euclidean batches run the blocked norm-expansion kernel
-    /// (bitwise-identical labels to the streaming path); rows fan out
-    /// over threads when the batch is large.
+    /// `C(1×m)`: each row exactly as [`KnnClassifier::classify`] would,
+    /// fanned out over threads when the batch is large.
     pub fn classify_batch(&self, samples: &Matrix) -> Result<Vec<AppClass>> {
         if samples.cols() != self.dim() {
             return Err(Error::FeatureMismatch { expected: self.dim(), got: samples.cols() });
@@ -338,44 +418,19 @@ impl KnnClassifier {
         // per-row error it would have to swallow.
         samples.check_finite().map_err(Error::Linalg)?;
         let m = samples.rows();
-        if m == 0 {
-            return Ok(Vec::new());
-        }
         const PAR_THRESHOLD: usize = 512;
-        if self.distance != Distance::Euclidean {
-            if m < PAR_THRESHOLD {
-                return samples.iter_rows().map(|r| self.classify(r)).collect();
-            }
-            let chunk = m.div_ceil(knn_threads());
-            let mut out = vec![AppClass::Idle; m];
-            let rows: Vec<&[f64]> = samples.iter_rows().collect();
-            crossbeam::scope(|s| {
-                for (slot_chunk, row_chunk) in out.chunks_mut(chunk).zip(rows.chunks(chunk)) {
-                    s.spawn(move |_| {
-                        for (slot, row) in slot_chunk.iter_mut().zip(row_chunk) {
-                            // Width and finiteness were validated above, so
-                            // per-row classification cannot fail.
-                            *slot = self.classify(row).expect("validated row");
-                        }
-                    });
-                }
-            })
-            .expect("knn worker panicked");
-            return Ok(out);
-        }
-
-        let q_norms = batch::row_sq_norms(samples);
-        let mut out = vec![AppClass::Idle; m];
         if m < PAR_THRESHOLD {
-            self.classify_block_euclidean(samples, 0, &q_norms, &mut out);
-            return Ok(out);
+            return Ok(samples.iter_rows().map(|r| self.classify_valid(r)).collect());
         }
         let chunk = m.div_ceil(knn_threads());
-        let q_norms = &q_norms;
+        let mut out = vec![AppClass::Idle; m];
+        let rows: Vec<&[f64]> = samples.iter_rows().collect();
         crossbeam::scope(|s| {
-            for (ci, slot_chunk) in out.chunks_mut(chunk).enumerate() {
+            for (slot_chunk, row_chunk) in out.chunks_mut(chunk).zip(rows.chunks(chunk)) {
                 s.spawn(move |_| {
-                    self.classify_block_euclidean(samples, ci * chunk, q_norms, slot_chunk);
+                    for (slot, row) in slot_chunk.iter_mut().zip(row_chunk) {
+                        *slot = self.classify_valid(row);
+                    }
                 });
             }
         })
@@ -384,10 +439,10 @@ impl KnnClassifier {
     }
 }
 
-// `norms`/`max_norm` are caches derived from `points`; the wire format
-// carries only the four defining fields (same JSON shape the former
-// derive produced), and deserialization rebuilds the caches — and
-// re-runs construction validation — via `KnnClassifier::new`.
+// `index` is a cache derived from `points`; the wire format carries only
+// the four defining fields (same JSON shape the former derive produced),
+// and deserialization rebuilds the index — and re-runs construction
+// validation — via `KnnClassifier::new`.
 impl Serialize for KnnClassifier {
     fn to_value(&self) -> Value {
         Value::Object(vec![
@@ -642,6 +697,38 @@ mod tests {
         assert_eq!(knn, back);
         // The derived caches are rebuilt, not shipped on the wire.
         assert!(!json.contains("norms"));
+    }
+
+    #[test]
+    fn new_rejects_non_finite_points() {
+        let labels = vec![AppClass::Cpu, AppClass::Io];
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let p = Matrix::from_rows(&[vec![0.0, 1.0], vec![2.0, bad]]).unwrap();
+            assert_eq!(
+                KnnClassifier::paper(p, labels.clone()).unwrap_err(),
+                Error::Linalg(appclass_linalg::Error::NonFinite { row: 1, col: 1 })
+            );
+        }
+    }
+
+    #[test]
+    fn featureless_points_rejected() {
+        let p = Matrix::zeros(3, 0);
+        let labels = vec![AppClass::Cpu; 3];
+        assert_eq!(KnnClassifier::paper(p, labels).unwrap_err(), Error::NoTrainingData);
+    }
+
+    #[test]
+    fn deserialize_rejects_overflowing_point() {
+        // `1e400` parses to +∞; a model payload carrying one must not
+        // install an infinite training point.
+        let points = Matrix::from_rows(&[vec![7.25, 0.0], vec![-1.0, 0.0]]).unwrap();
+        let knn = KnnClassifier::paper(points, vec![AppClass::Cpu, AppClass::Idle]).unwrap();
+        let json = serde_json::to_string(&knn).unwrap();
+        assert!(json.contains("7.25"));
+        let bad = json.replacen("7.25", "1e400", 1);
+        let err = serde_json::from_str::<KnnClassifier>(&bad).unwrap_err();
+        assert!(err.to_string().contains("non-finite"), "{err}");
     }
 
     #[test]

@@ -214,14 +214,10 @@ impl Matrix {
 
     /// Checks every entry is finite; returns the first offender otherwise.
     pub fn check_finite(&self) -> Result<()> {
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                if !self.data[i * self.cols + j].is_finite() {
-                    return Err(Error::NonFinite { row: i, col: j });
-                }
-            }
+        match self.data.iter().position(|v| !v.is_finite()) {
+            Some(k) => Err(Error::NonFinite { row: k / self.cols, col: k % self.cols }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Maximum absolute asymmetry `|a_ij - a_ji|`; zero for symmetric input.

@@ -37,11 +37,21 @@ pub struct FeedEntry {
     pub trace: u64,
 }
 
+/// Most sessions a [`CompositionFeed`] remembers. Once full, publishing
+/// for a session it does not hold forgets the lowest session id; the
+/// server hands ids out in increasing order, so that is the oldest
+/// session. Without the bound, a server nobody polls would keep an entry
+/// for every session it ever served. It sits far above the server's
+/// admission limit (8 live sessions by default), so the sessions
+/// forgotten are ones that have already ended.
+pub const FEED_CAPACITY: usize = 4096;
+
 /// Shared, cheaply clonable map of the latest observation per session.
 ///
 /// Handles clone like `Arc`: every clone sees every publish. Entries are
 /// keyed by session id and overwritten in place, so the feed holds the
-/// *current* belief about each streaming VM, not a history.
+/// *current* belief about each streaming VM, not a history — for at most
+/// [`FEED_CAPACITY`] sessions.
 #[derive(Clone, Default)]
 pub struct CompositionFeed {
     inner: Arc<Mutex<BTreeMap<u32, FeedEntry>>>,
@@ -55,7 +65,11 @@ impl CompositionFeed {
 
     /// Publishes (or overwrites) a session's latest observation.
     pub fn publish(&self, entry: FeedEntry) {
-        self.inner.lock().insert(entry.session, entry);
+        let mut sessions = self.inner.lock();
+        if sessions.len() >= FEED_CAPACITY && !sessions.contains_key(&entry.session) {
+            sessions.pop_first();
+        }
+        sessions.insert(entry.session, entry);
     }
 
     /// The latest observation for one session.
@@ -114,6 +128,25 @@ mod tests {
         feed.publish(entry(3, AppClass::Io));
         assert_eq!(feed.len(), 1);
         assert_eq!(feed.get(3).unwrap().class, AppClass::Io);
+    }
+
+    #[test]
+    fn full_feed_forgets_the_oldest_session() {
+        let feed = CompositionFeed::new();
+        for session in 0..FEED_CAPACITY as u32 {
+            feed.publish(entry(session, AppClass::Cpu));
+        }
+        // Overwriting a held session evicts nothing.
+        feed.publish(entry(0, AppClass::Io));
+        assert_eq!(feed.len(), FEED_CAPACITY);
+        assert_eq!(feed.get(0).unwrap().class, AppClass::Io);
+        // A new session makes room by forgetting the oldest.
+        let newest = FEED_CAPACITY as u32;
+        feed.publish(entry(newest, AppClass::Net));
+        assert_eq!(feed.len(), FEED_CAPACITY);
+        assert!(feed.get(0).is_none());
+        assert_eq!(feed.get(1).unwrap().class, AppClass::Cpu);
+        assert_eq!(feed.get(newest).unwrap().class, AppClass::Net);
     }
 
     #[test]

@@ -210,8 +210,10 @@ echo "== bench smoke (BENCH_classify.json) =="
 # paths; fails if BENCH_classify.json is missing or non-parseable.
 BENCH_FRAMES="${BENCH_FRAMES:-512}" ./scripts/bench_smoke.sh
 
-echo "== cargo clippy --workspace -- -D warnings =="
-cargo clippy --workspace -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+# --all-targets lints benches, tests and examples too, so one that still
+# names a deleted item fails here instead of rotting.
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo fmt --check =="
 cargo fmt --check

@@ -173,6 +173,89 @@ proptest! {
         }
     }
 
+    /// The k-d tree search behind `classify` and `classify_batch` must
+    /// pick exactly the neighbours a scan of every training row picks —
+    /// earliest index on exact distance ties, nearest neighbour among
+    /// tied classes — for every metric and `k`, on training sets large
+    /// enough for a tree of several levels, with grids dense in exact
+    /// ties so that the strict pruning rule is what keeps the answer.
+    #[test]
+    fn indexed_knn_matches_bruteforce(
+        dim in 1usize..=5,
+        n_train in 1usize..=400,
+        k_idx in 0usize..3,
+        metric_idx in 0usize..3,
+        grid in 2u64..12,
+        seed in 0u64..1000,
+        scale_idx in 0usize..4,
+    ) {
+        use appclass::core::knn::{Distance, KnnClassifier};
+        use appclass::linalg::vector;
+        let k = [1usize, 3, 5][k_idx];
+        let metric = [Distance::Euclidean, Distance::Manhattan, Distance::Chebyshev][metric_idx];
+        let scale = [1.0f64, 1e-3, 1e3, 1e6][scale_idx];
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let width = 2 * grid + 1;
+        let points: Vec<Vec<f64>> = (0..n_train)
+            .map(|_| (0..dim).map(|_| ((next() % width) as f64 - grid as f64) * scale).collect())
+            .collect();
+        let labels: Vec<AppClass> = (0..n_train).map(|_| AppClass::ALL[(next() % 5) as usize]).collect();
+        let knn = KnnClassifier::new(k, Matrix::from_rows(&points).unwrap(), labels.clone(), metric)
+            .unwrap();
+
+        let distance = |a: &[f64], b: &[f64]| match metric {
+            Distance::Euclidean => vector::sq_euclidean(a, b),
+            Distance::Manhattan => vector::manhattan(a, b),
+            Distance::Chebyshev => vector::chebyshev(a, b),
+        };
+        let oracle = |q: &[f64]| {
+            let mut ranked: Vec<(f64, usize)> =
+                points.iter().enumerate().map(|(i, p)| (distance(q, p), i)).collect();
+            ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+            let nearest = &ranked[..k.min(n_train)];
+            let mut counts = [0usize; 5];
+            for &(_, i) in nearest {
+                counts[labels[i].index()] += 1;
+            }
+            let top = *counts.iter().max().unwrap();
+            nearest.iter().map(|&(_, i)| labels[i]).find(|c| counts[c.index()] == top).unwrap()
+        };
+
+        // Queries: every training point (exact zero distances), each
+        // adjacent midpoint (ties between neighbours), off-grid points and
+        // points beyond the grid.
+        let mut queries: Vec<Vec<f64>> = points.clone();
+        for w in points.windows(2) {
+            queries.push(w[0].iter().zip(&w[1]).map(|(a, b)| 0.5 * (a + b)).collect());
+        }
+        for _ in 0..16 {
+            let far = if next() % 2 == 0 { 1.0 } else { 3.0 };
+            queries.push(
+                (0..dim)
+                    .map(|_| (((next() % width) as f64 - grid as f64) * far + 0.5) * scale)
+                    .collect(),
+            );
+        }
+        let want: Vec<AppClass> = queries.iter().map(|q| oracle(q)).collect();
+        for (i, q) in queries.iter().enumerate() {
+            prop_assert_eq!(knn.classify(q).unwrap(), want[i], "query row {}", i);
+        }
+        // The same queries, cycled into one batch of at least 512 rows so
+        // the threaded row split runs too.
+        let rows = queries.len().max(512);
+        let tiled: Vec<Vec<f64>> = queries.iter().cycle().take(rows).cloned().collect();
+        let batch = knn.classify_batch(&Matrix::from_rows(&tiled).unwrap()).unwrap();
+        for (i, c) in batch.iter().enumerate() {
+            prop_assert_eq!(*c, want[i % queries.len()], "batch row {}", i);
+        }
+    }
+
     #[test]
     fn frame_and_batch_paths_agree(
         cpu in 0.0f64..100.0,
