@@ -8,9 +8,9 @@
 //! by what the trained pipeline *observes* about each VM's telemetry,
 //! never by ground truth. Each VM is solo-profiled for a short window,
 //! its monitoring stream is pushed through an
-//! [`OnlineClassifier`](appclass_core::online::OnlineClassifier) over
-//! the real trained pipeline, and the resulting composition is what the
-//! class-aware policy places with. A misclassified VM therefore lands on
+//! [`appclass_core::online::OnlineClassifier`] over the real trained
+//! pipeline, and the resulting composition is what the class-aware
+//! policy places with. A misclassified VM therefore lands on
 //! the wrong host, and the gap to the oracle run (same policy, truth
 //! compositions) is exactly the *misclassification-induced placement
 //! regret*.

@@ -606,10 +606,10 @@ mod tests {
         }
     }
 
-    /// The regression test for the `available_parallelism`-per-call bug
-    /// and the acceptance gate for the blocked kernel: batch output must
-    /// be bitwise-identical to the per-row streaming path, on both sides
-    /// of the parallel-dispatch threshold, whatever the thread count.
+    /// The regression test for the `available_parallelism`-per-call bug:
+    /// batch output must be bitwise-identical to the per-row streaming
+    /// path on both sides of the 512-row thread split, whatever the
+    /// thread count.
     #[test]
     fn batch_bitwise_identical_to_streaming() {
         // A deliberately tie-heavy training set: duplicated points with
@@ -650,7 +650,7 @@ mod tests {
         for (i, row) in big.iter_rows().enumerate() {
             assert_eq!(batched[i], knn.classify(row).unwrap(), "row {i} diverged");
         }
-        // Sub-threshold (sequential blocked kernel) slice too.
+        // A sub-threshold slice takes the sequential batch path.
         let small = Matrix::from_rows(&rows[..64]).unwrap();
         let small_batched = knn.classify_batch(&small).unwrap();
         assert_eq!(&small_batched[..], &batched[..64]);
@@ -658,8 +658,8 @@ mod tests {
 
     #[test]
     fn huge_magnitude_batch_falls_back_exactly() {
-        // Norms near the overflow edge force the expansion fallback path;
-        // labels must still match streaming bitwise.
+        // Coordinates near the overflow edge: the batch path (under the
+        // 512-row split) must still match streaming bitwise.
         let points =
             Matrix::from_rows(&[vec![1e155, 0.0], vec![-1e155, 1.0], vec![2e154, -0.5]]).unwrap();
         let labels = vec![AppClass::Cpu, AppClass::Net, AppClass::Mem];

@@ -1,11 +1,11 @@
 //! appclass-obs: the unified observability layer.
 //!
 //! The paper's whole premise is that resource telemetry reveals what a
-//! system is doing — yet until this crate existed the reproduction was
-//! opaque about *itself*: per-stage costs lived in `StageMetrics`, wire
-//! health in `TelemetryHealth`, serving latency in `ServerStats`, none of
-//! them sharing a registry or an export path. This crate is the common
-//! substrate they now all report through:
+//! system is doing, and this crate is how the reproduction observes
+//! *itself*. Its [`Registry`] is the serving stack's one accounting
+//! system: every `serve_*` counter and histogram lives there, the `Stats`
+//! exposition renders it live, and the server's end-of-run `ServerStats`
+//! is read from the same handles. The pieces:
 //!
 //! * [`span`] — a span-based tracer: [`Tracer`] hands out [`SpanGuard`]s
 //!   with process-monotonic ids and parent links, recorded into a

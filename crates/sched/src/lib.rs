@@ -17,8 +17,6 @@
 //!   (max-diversity), and an oracle that simulates every schedule.
 //! * [`experiments`] — the drivers that regenerate Figure 4, Figure 5 and
 //!   Table 4 as typed rows.
-//! * [`search`] — greedy + local-search placement for instances too big
-//!   to enumerate, driven by the same predictor.
 //! * [`dynamic`] — beyond the paper: class-aware placement of a *stream*
 //!   of arriving jobs, the setting §4.3's application database exists for.
 
@@ -29,7 +27,6 @@ pub mod dynamic;
 pub mod experiments;
 pub mod policy;
 pub mod schedule;
-pub mod search;
 
 pub use experiments::{figure4, figure5, table4, Fig4Row, Fig5Row, Table4Result};
 pub use policy::{ClassAwarePolicy, OraclePolicy, RandomPolicy, SchedulingPolicy};

@@ -6,7 +6,7 @@
 //! server that holds one trained [`ClassifierPipeline`] in a
 //! hot-swappable [`ModelSlot`] and serves many monitoring clients
 //! concurrently, each session running its own
-//! [`OnlineClassifier`](appclass_core::OnlineClassifier) behind a
+//! [`OnlineClassifier`](appclass_core::online::OnlineClassifier) behind a
 //! [`FrameGuard`](appclass_metrics::FrameGuard) so a degraded client
 //! degrades only its own verdicts. A `SwapModel` frame (or
 //! [`Server::swap_model`]) installs a retrained pipeline while
@@ -64,4 +64,4 @@ pub use overload::{OverloadMachine, OverloadState};
 pub use retry::{connect_with_retry, BreakerState, CircuitBreaker, RetryPolicy, RetryReport};
 pub use server::{Server, ServerConfig};
 pub use session::SessionConfig;
-pub use stats::{LatencyHistogram, ServerStats, SessionOutcome};
+pub use stats::{LatencyHistogram, ServerStats};

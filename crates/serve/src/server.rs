@@ -14,10 +14,11 @@ use crate::model::ModelSlot;
 use crate::overload::{OverloadMachine, OverloadState};
 use crate::session::{refuse, refuse_busy, SessionConfig};
 use crate::shard::shard_loop;
-use crate::stats::ServerStats;
+use crate::stats::{ServeMetrics, ServerStats};
 use appclass_core::ClassifierPipeline;
 use appclass_metrics::ByeReason;
-use appclass_obs::{Counter, Gauge, Histogram, Observability};
+use appclass_obs::span::SpanName;
+use appclass_obs::Observability;
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 use std::io::ErrorKind;
@@ -81,37 +82,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Registry counters mirroring the session-lifecycle fields of
-/// [`ServerStats`], so the `Stats` exposition reflects them live. Every
-/// shard increments the same registry atomics — the lock-free merge.
-pub(crate) struct SessionCounters {
-    pub(crate) started: Counter,
-    pub(crate) finished: Counter,
-    pub(crate) rejected: Counter,
-    /// Soft `Busy` refusals while shedding (`serve_shed_total`).
-    pub(crate) shed: Counter,
-    pub(crate) errors: Counter,
-    /// Pre-registered at bind (the shards register the same names), so
-    /// `model_swap_total` and its latency histogram appear in the `Stats`
-    /// exposition even before the first swap.
-    pub(crate) swap_total: Counter,
-    pub(crate) swap_latency: Histogram,
-}
-
-impl SessionCounters {
-    pub(crate) fn new(obs: &Observability) -> Self {
-        SessionCounters {
-            started: obs.registry.counter("serve_sessions_started_total"),
-            finished: obs.registry.counter("serve_sessions_finished_total"),
-            rejected: obs.registry.counter("serve_sessions_rejected_total"),
-            shed: obs.registry.counter("serve_shed_total"),
-            errors: obs.registry.counter("serve_session_errors_total"),
-            swap_total: obs.registry.counter("serve_model_swap_total"),
-            swap_latency: obs.registry.histogram("serve_model_swap_latency"),
-        }
-    }
-}
-
 /// State shared by the acceptor, every shard, and the handle.
 pub(crate) struct Shared {
     pub(crate) slot: Arc<ModelSlot>,
@@ -125,10 +95,11 @@ pub(crate) struct Shared {
     pub(crate) next_session: AtomicU32,
     /// Watermark-driven overload state over the admission-queue depth.
     overload: Mutex<OverloadMachine>,
-    overload_gauge: Gauge,
-    queue_depth_gauge: Gauge,
     pub(crate) obs: Observability,
-    pub(crate) counters: SessionCounters,
+    /// Every `serve_*` metric, registered once in `obs.registry`.
+    pub(crate) metrics: ServeMetrics,
+    /// Span name of the `Classify` reply, registered once.
+    pub(crate) classify_span: SpanName,
     /// Latest per-session classification observations, for the cluster
     /// controller (see [`crate::feed`]).
     pub(crate) feed: CompositionFeed,
@@ -142,8 +113,8 @@ pub(crate) struct Shared {
 pub struct Server {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<ServerStats>>,
-    shards: Vec<JoinHandle<ServerStats>>,
+    acceptor: Option<JoinHandle<()>>,
+    shards: Vec<JoinHandle<()>>,
 }
 
 impl Server {
@@ -151,32 +122,19 @@ impl Server {
     /// loops.
     ///
     /// `addr` may carry port 0 to let the OS pick an ephemeral port;
-    /// read the real one back with [`Server::local_addr`].
+    /// read the real one back with [`Server::local_addr`]. Each server
+    /// instruments into its own [`Observability`] bundle, so its counts
+    /// are exactly its own.
     pub fn bind<A: ToSocketAddrs>(
         addr: A,
         pipeline: Arc<ClassifierPipeline>,
         config: ServerConfig,
     ) -> Result<Server> {
-        Server::bind_with_observability(addr, pipeline, config, Observability::new())
-    }
-
-    /// Like [`Server::bind`], but instrumenting into a caller-supplied
-    /// [`Observability`] bundle — the self-classification demo uses this
-    /// to scrape the server's own registry from outside.
-    pub fn bind_with_observability<A: ToSocketAddrs>(
-        addr: A,
-        pipeline: Arc<ClassifierPipeline>,
-        config: ServerConfig,
-        obs: Observability,
-    ) -> Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let counters = SessionCounters::new(&obs);
-        // Pre-register so the exposition names the deadline counter even
-        // before the first session sheds a frame.
-        let _ = obs.registry.counter("serve_deadline_shed_total");
-        let overload_gauge = obs.registry.gauge("serve_overload_state");
-        let queue_depth_gauge = obs.registry.gauge("serve_queue_depth");
+        let obs = Observability::new();
+        let metrics = ServeMetrics::register(&obs.registry);
+        let classify_span = obs.tracer.register("classify");
         let shared = Arc::new(Shared {
             slot: Arc::new(ModelSlot::new(pipeline)),
             config,
@@ -188,10 +146,9 @@ impl Server {
                 config.shed_low_watermark,
                 config.shed_high_watermark,
             )),
-            overload_gauge,
-            queue_depth_gauge,
             obs,
-            counters,
+            metrics,
+            classify_span,
             feed: CompositionFeed::new(),
         });
 
@@ -254,8 +211,8 @@ impl Server {
         let start = Instant::now();
         let (old, new) = self.shared.slot.swap(pipeline);
         if old != new {
-            self.shared.counters.swap_total.inc();
-            self.shared.counters.swap_latency.record(start.elapsed());
+            self.shared.metrics.swap_total.inc();
+            self.shared.metrics.swap_latency.record(start.elapsed());
             self.shared.obs.incident(&format!("server: model swap {old:#018x} -> {new:#018x}"));
         }
         (old, new)
@@ -280,28 +237,18 @@ impl Server {
         }
     }
 
-    /// Waits for the acceptor and every shard, then merges the
-    /// per-shard statistics into one report. Blocks until either
+    /// Waits for the acceptor and every shard, then reads the server's
+    /// registry into one report. Blocks until either
     /// [`Server::shutdown`] is called or the accept limit drains.
     pub fn join(mut self) -> Result<ServerStats> {
-        let mut merged = ServerStats::default();
         let mut panicked = false;
-        if let Some(h) = self.acceptor.take() {
-            match h.join() {
-                Ok(admission) => merged.merge(&admission),
-                Err(_) => panicked = true,
-            }
-        }
-        for h in self.shards.drain(..) {
-            match h.join() {
-                Ok(stats) => merged.merge(&stats),
-                Err(_) => panicked = true,
-            }
+        for h in self.acceptor.take().into_iter().chain(self.shards.drain(..)) {
+            panicked |= h.join().is_err();
         }
         if panicked {
             return Err(ServeError::WorkerPanicked);
         }
-        Ok(merged)
+        Ok(self.shared.metrics.stats())
     }
 }
 
@@ -328,8 +275,8 @@ pub(crate) fn update_overload(shared: &Shared) -> OverloadState {
     let depth =
         shared.in_flight.load(Ordering::SeqCst).saturating_sub(shared.config.max_sessions.max(1));
     let (state, entered_shedding) = shared.overload.lock().update(depth);
-    shared.queue_depth_gauge.set(depth as f64);
-    shared.overload_gauge.set(state.gauge_value());
+    shared.metrics.queue_depth.set(depth as f64);
+    shared.metrics.overload_state.set(state.gauge_value());
     if entered_shedding {
         shared.obs.incident(&format!("server: load shedding engaged (queue depth {depth})"));
     }
@@ -343,15 +290,8 @@ const ACCEPT_POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// Readiness-driven acceptor: hard `SessionLimit` cap first, then soft
 /// `Busy` shedding, dealing admitted sockets round-robin across the
-/// shard channels. Returns the admission-side statistics
-/// (rejected/busy), which it owns single-threaded — no lock on the
-/// refusal path.
-fn accept_loop(
-    shared: &Shared,
-    listener: &TcpListener,
-    txs: Vec<Sender<TcpStream>>,
-) -> ServerStats {
-    let mut stats = ServerStats::default();
+/// shard channels. Refusals are counted straight into the registry.
+fn accept_loop(shared: &Shared, listener: &TcpListener, txs: Vec<Sender<TcpStream>>) {
     let capacity = shared.config.max_sessions.max(1) + shared.config.backlog;
     let mut admitted = 0u64;
     let mut next_shard = 0usize;
@@ -387,15 +327,13 @@ fn accept_loop(
             break;
         }
         if shared.in_flight.load(Ordering::SeqCst) >= capacity {
-            stats.sessions_rejected += 1;
-            shared.counters.rejected.inc();
+            shared.metrics.sessions_rejected.inc();
             let _ = stream.set_nonblocking(false);
             refuse(stream, ByeReason::SessionLimit);
             continue;
         }
         if update_overload(shared) == OverloadState::Shedding {
-            stats.sessions_busy += 1;
-            shared.counters.shed.inc();
+            shared.metrics.sessions_busy.inc();
             let _ = stream.set_nonblocking(false);
             refuse_busy(stream, shared.config.busy_retry_after);
             continue;
@@ -409,6 +347,5 @@ fn accept_loop(
         next_shard = next_shard.wrapping_add(1);
     }
     shared.acceptor_done.store(true, Ordering::SeqCst);
-    stats
     // Dropping `txs` disconnects the channels; drained shards exit.
 }

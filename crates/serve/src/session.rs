@@ -7,16 +7,16 @@
 //! [`FrameGuard`] via `push_guarded`, so a client on a degraded
 //! telemetry link degrades only its own verdicts. Sessions survive hot
 //! model swaps: when the served model changes, the session folds the
-//! old generation's telemetry into its outcome ([`finish`]) and
-//! rebuilds against the new pipeline on the same connection. Verdicts
-//! carry the fingerprint of the model that produced them, so a client
-//! watches its tags flip old → new.
+//! old generation's telemetry health and stage costs into the server's
+//! totals (`finish`) and rebuilds against the new pipeline on the same
+//! connection. Verdicts carry the fingerprint of the model that
+//! produced them, so a client watches its tags flip old → new.
 //!
 //! [`FrameGuard`]: appclass_metrics::FrameGuard
 
 use crate::feed::{CompositionFeed, FeedEntry};
 use crate::proto::write_frame;
-use crate::stats::SessionOutcome;
+use crate::stats::ServeMetrics;
 use appclass_core::online::OnlineClassifier;
 use appclass_metrics::{ByeReason, ControlFrame};
 use appclass_obs::TraceContext;
@@ -139,10 +139,12 @@ pub(crate) fn publish_feed(
     });
 }
 
-/// Folds the classifier's end-of-generation reports into the outcome.
-/// Merging (not replacing) is what lets a session's telemetry survive a
-/// hot swap: every generation contributes its counts.
-pub(crate) fn finish(outcome: &mut SessionOutcome, classifier: &OnlineClassifier<'_>) {
-    outcome.health.merge(classifier.telemetry());
-    outcome.stage_metrics.merge(classifier.stage_metrics());
+/// Folds the classifier's end-of-generation reports into the server's
+/// totals, once per generation (session end or hot swap), never per
+/// frame. Merging is what lets a session's telemetry survive a hot
+/// swap: every generation contributes its counts.
+pub(crate) fn finish(metrics: &ServeMetrics, classifier: &OnlineClassifier<'_>) {
+    let mut totals = metrics.generations.lock();
+    totals.0.merge(classifier.telemetry());
+    totals.1.merge(classifier.stage_metrics());
 }

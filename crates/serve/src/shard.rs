@@ -15,10 +15,11 @@
 //!   [`decode_control_borrowed`](wire::decode_control_borrowed):
 //!   snapshot datagrams are classified straight out of the buffer the
 //!   kernel filled, never copied into per-frame `Vec`s.
-//! - **Lock-free stats.** Each shard accumulates its own
-//!   [`ServerStats`]; live observability flows through the shared
-//!   registry's atomic `serve_*` counters. The only merge is at
-//!   [`Server::join`](crate::Server::join), after every shard has exited.
+//! - **Lock-free stats.** Every serve event is counted once, into the
+//!   server registry's atomic `serve_*` handles (`stats::ServeMetrics`),
+//!   which all shards share; there is no per-shard copy to merge.
+//!   [`Server::join`](crate::Server::join) reads its report from the
+//!   same handles after every shard has exited.
 //!
 //! Ownership rule for the zero-copy path: a borrowed frame lives
 //! exactly as long as one call to the per-frame handler — nothing
@@ -34,13 +35,11 @@ use crate::poll::PollSet;
 use crate::proto::{write_frame, write_frame_single, MAX_FRAME_BYTES, MID_FRAME_TIMEOUT_BUDGET};
 use crate::server::{update_overload, ServerConfig, Shared};
 use crate::session::{busy_frame, deadline_exceeded, finish, publish_feed, refuse, verdict_frame};
-use crate::stats::{ServerStats, SessionOutcome};
 use appclass_core::online::OnlineClassifier;
 use appclass_core::ClassifierPipeline;
 use appclass_metrics::wire::{self, ControlFrameRef};
 use appclass_metrics::{ByeReason, ControlFrame, FrameDisposition, FrameVerdict};
-use appclass_obs::span::SpanName;
-use appclass_obs::{Counter, Histogram, Observability, TraceScope};
+use appclass_obs::{Observability, TraceScope};
 use crossbeam::channel::{Receiver, TryRecvError};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -102,42 +101,6 @@ impl Generation {
         };
         classifier.set_tracer(obs.tracer.clone());
         Generation { classifier, pipeline, epoch, model_id }
-    }
-}
-
-/// Registry handles one shard clones once and shares across all its
-/// connections. The counters are the same named atomics every other
-/// shard increments — the shared registry is the lock-free merge point
-/// for live stats.
-struct ShardObs {
-    obs: Observability,
-    frames_in: Counter,
-    frames_repaired: Counter,
-    frames_dropped: Counter,
-    frames_malformed: Counter,
-    frames_deadline_shed: Counter,
-    classify_total: Counter,
-    classify_latency: Histogram,
-    swap_total: Counter,
-    swap_latency: Histogram,
-    classify_span: SpanName,
-}
-
-impl ShardObs {
-    fn new(obs: &Observability) -> ShardObs {
-        ShardObs {
-            frames_in: obs.registry.counter("serve_frames_in_total"),
-            frames_repaired: obs.registry.counter("serve_frames_repaired_total"),
-            frames_dropped: obs.registry.counter("serve_frames_dropped_total"),
-            frames_malformed: obs.registry.counter("serve_frames_malformed_total"),
-            frames_deadline_shed: obs.registry.counter("serve_deadline_shed_total"),
-            classify_total: obs.registry.counter("serve_classify_total"),
-            classify_latency: obs.registry.histogram("serve_classify_latency"),
-            swap_total: obs.registry.counter("serve_model_swap_total"),
-            swap_latency: obs.registry.histogram("serve_model_swap_latency"),
-            classify_span: obs.tracer.register("classify"),
-            obs: obs.clone(),
-        }
     }
 }
 
@@ -218,7 +181,8 @@ struct Sess {
     session_id: u32,
     phase: Phase,
     gen: Option<Generation>,
-    outcome: SessionOutcome,
+    /// Snapshot frames received, for the frame budget.
+    frames_in: u64,
     /// Trace id last seen on this session's telemetry (0 = untraced).
     last_trace: u64,
     /// One flight-recorder incident per degradation episode (see
@@ -240,14 +204,12 @@ enum Step {
 
 /// One shard's event loop: drain the intake channel, poll every owned
 /// socket, pump reads, parse-and-serve frames zero-copy, flush writes,
-/// retire finished connections. Returns the shard's final stats.
-pub(crate) fn shard_loop(shared: &Shared, rx: &Receiver<TcpStream>) -> ServerStats {
-    let mut stats = ServerStats::default();
+/// retire finished connections.
+pub(crate) fn shard_loop(shared: &Shared, rx: &Receiver<TcpStream>) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut poll = PollSet::new();
     let mut scratch: Vec<u8> = Vec::new();
     let mut tmp = vec![0u8; READ_CHUNK];
-    let sobs = ShardObs::new(&shared.obs);
     let stall_budget = shared.config.read_timeout.saturating_mul(MID_FRAME_TIMEOUT_BUDGET);
 
     loop {
@@ -261,16 +223,14 @@ pub(crate) fn shard_loop(shared: &Shared, rx: &Receiver<TcpStream>) -> ServerSta
                     if shutting_down {
                         // Admitted before the flag flipped: refuse it
                         // before any session state exists.
-                        stats.sessions_rejected += 1;
-                        shared.counters.rejected.inc();
+                        shared.metrics.sessions_rejected.inc();
                         refuse(stream, ByeReason::Shutdown);
                         shared.in_flight.fetch_sub(1, Ordering::SeqCst);
                         update_overload(shared);
                         continue;
                     }
                     if stream.set_nonblocking(true).is_err() {
-                        stats.session_errors += 1;
-                        shared.counters.errors.inc();
+                        shared.metrics.session_errors.inc();
                         shared.in_flight.fetch_sub(1, Ordering::SeqCst);
                         update_overload(shared);
                         continue;
@@ -279,8 +239,7 @@ pub(crate) fn shard_loop(shared: &Shared, rx: &Receiver<TcpStream>) -> ServerSta
                     // Nagle sit on them.
                     let _ = stream.set_nodelay(true);
                     let session_id = shared.next_session.fetch_add(1, Ordering::SeqCst);
-                    stats.sessions_started += 1;
-                    shared.counters.started.inc();
+                    shared.metrics.sessions_started.inc();
                     conns.push(Conn {
                         io: ConnIo {
                             stream,
@@ -293,7 +252,7 @@ pub(crate) fn shard_loop(shared: &Shared, rx: &Receiver<TcpStream>) -> ServerSta
                             session_id,
                             phase: Phase::Handshake,
                             gen: None,
-                            outcome: SessionOutcome::default(),
+                            frames_in: 0,
                             last_trace: 0,
                             degraded_noted: false,
                         },
@@ -324,7 +283,7 @@ pub(crate) fn shard_loop(shared: &Shared, rx: &Receiver<TcpStream>) -> ServerSta
                     &ControlFrame::Bye { reason: ByeReason::Shutdown },
                 );
                 let _ = conn.io.pump_write(); // best-effort farewell
-                retire(conn, kind, &mut stats, shared, &sobs);
+                retire(conn, kind, shared);
             }
             if disconnected {
                 break;
@@ -358,7 +317,6 @@ pub(crate) fn shard_loop(shared: &Shared, rx: &Receiver<TcpStream>) -> ServerSta
                 readable,
                 writable,
                 shared,
-                &sobs,
                 &mut scratch,
                 &mut tmp,
                 stall_budget,
@@ -368,24 +326,21 @@ pub(crate) fn shard_loop(shared: &Shared, rx: &Receiver<TcpStream>) -> ServerSta
             if conns[i].closing.is_some() && !conns[i].io.has_pending_writes() {
                 let mut conn = conns.swap_remove(i);
                 let kind = conn.closing.take().unwrap_or(CloseKind::Clean);
-                retire(conn, kind, &mut stats, shared, &sobs);
+                retire(conn, kind, shared);
             } else {
                 i += 1;
             }
         }
     }
-    stats
 }
 
 /// One event-loop turn for one connection: pump reads, serve complete
 /// frames, poll the swap epoch and the stall budget, flush writes.
-#[allow(clippy::too_many_arguments)]
 fn serve_conn_turn(
     conn: &mut Conn,
     readable: bool,
     writable: bool,
     shared: &Shared,
-    sobs: &ShardObs,
     scratch: &mut Vec<u8>,
     tmp: &mut [u8],
     stall_budget: Duration,
@@ -393,7 +348,7 @@ fn serve_conn_turn(
     if readable && conn.closing.is_none() {
         match conn.io.pump_read(tmp) {
             Ok(eof) => {
-                serve_pending_frames(conn, shared, sobs, scratch);
+                serve_pending_frames(conn, shared, scratch);
                 if eof && conn.closing.is_none() {
                     // Peer vanished without Bye.
                     conn.closing = Some(CloseKind::Failed(ServeError::ConnectionClosed));
@@ -408,7 +363,7 @@ fn serve_conn_turn(
     } else if conn.closing.is_none() {
         // Quiet socket: poll the swap epoch and the mid-frame stall
         // budget.
-        rebuild_if_swapped(&mut conn.sess, shared, sobs);
+        rebuild_if_swapped(&mut conn.sess, shared);
         if let Some(started) = conn.io.frame_started {
             if !conn.io.read_buf.is_empty() && started.elapsed() > stall_budget {
                 conn.closing = Some(CloseKind::Failed(ServeError::Io(std::io::Error::from(
@@ -437,59 +392,47 @@ fn serve_conn_turn(
     }
 }
 
-/// Retires a finished connection: folds its generation and outcome into
-/// the shard stats, mirrors the lifecycle counters, releases its
-/// admission slot, and lets the overload machine observe the drain.
-fn retire(
-    mut conn: Conn,
-    kind: CloseKind,
-    stats: &mut ServerStats,
-    shared: &Shared,
-    sobs: &ShardObs,
-) {
-    let Sess { gen, outcome, session_id, .. } = &mut conn.sess;
-    if let Some(g) = gen.as_ref() {
-        finish(outcome, &g.classifier);
+/// Retires a finished connection: folds its last generation into the
+/// server totals, counts how it ended, releases its admission slot, and
+/// lets the overload machine observe the drain.
+fn retire(conn: Conn, kind: CloseKind, shared: &Shared) {
+    if let Some(g) = conn.sess.gen.as_ref() {
+        finish(&shared.metrics, &g.classifier);
     }
-    stats.absorb(outcome);
     match &kind {
-        CloseKind::Clean | CloseKind::Shutdown => {
-            stats.sessions_finished += 1;
-            shared.counters.finished.inc();
-        }
+        CloseKind::Clean | CloseKind::Shutdown => shared.metrics.sessions_finished.inc(),
         CloseKind::Failed(e) => {
-            stats.session_errors += 1;
-            shared.counters.errors.inc();
-            sobs.obs.incident(&format!("session {session_id} failed: {e}"));
+            shared.metrics.session_errors.inc();
+            shared.obs.incident(&format!("session {} failed: {e}", conn.sess.session_id));
         }
     }
     shared.in_flight.fetch_sub(1, Ordering::SeqCst);
     update_overload(shared);
 }
 
-/// If another session swapped the model, drain this connection's
-/// generation into its outcome and rebuild against the new pipeline —
-/// same-connection hot swap.
-fn rebuild_if_swapped(sess: &mut Sess, shared: &Shared, sobs: &ShardObs) {
+/// If another session swapped the model, fold this connection's
+/// generation into the server totals and rebuild against the new
+/// pipeline — same-connection hot swap.
+fn rebuild_if_swapped(sess: &mut Sess, shared: &Shared) {
     let Some(gen) = sess.gen.as_ref() else { return };
     if shared.slot.epoch() == gen.epoch {
         return;
     }
-    finish(&mut sess.outcome, &gen.classifier);
-    sess.gen = Some(Generation::new(&shared.slot, &shared.config, &sobs.obs));
+    finish(&shared.metrics, &gen.classifier);
+    sess.gen = Some(Generation::new(&shared.slot, &shared.config, &shared.obs));
 }
 
 /// Parses every complete frame in the connection's read buffer and
 /// serves it. Frames are decoded zero-copy: snapshot payloads are
 /// classified straight out of `read_buf`.
-fn serve_pending_frames(conn: &mut Conn, shared: &Shared, sobs: &ShardObs, scratch: &mut Vec<u8>) {
+fn serve_pending_frames(conn: &mut Conn, shared: &Shared, scratch: &mut Vec<u8>) {
     let Conn { io, sess, closing } = conn;
     let ConnIo { read_buf, write_buf, frame_started, .. } = io;
     let mut at = 0usize;
     let mut consumed_any = false;
     loop {
         // Between frames is where swaps are observed.
-        rebuild_if_swapped(sess, shared, sobs);
+        rebuild_if_swapped(sess, shared);
         let rest = &read_buf[at..];
         if rest.len() < 4 {
             break;
@@ -510,7 +453,7 @@ fn serve_pending_frames(conn: &mut Conn, shared: &Shared, sobs: &ShardObs, scrat
         // later frames in the same buffer were all ready "now".
         let arrival =
             if consumed_any { Instant::now() } else { frame_started.unwrap_or_else(Instant::now) };
-        let step = serve_frame(sess, body, arrival, write_buf, shared, sobs, scratch);
+        let step = serve_frame(sess, body, arrival, write_buf, shared, scratch);
         at += 4 + len;
         consumed_any = true;
         match step {
@@ -545,10 +488,10 @@ fn serve_frame(
     arrival: Instant,
     write_buf: &mut Vec<u8>,
     shared: &Shared,
-    sobs: &ShardObs,
     scratch: &mut Vec<u8>,
 ) -> Step {
     let session_config = shared.config.session;
+    let metrics = &shared.metrics;
     let frame = match wire::decode_control_borrowed(body) {
         Ok(frame) => frame,
         Err(_) => {
@@ -582,7 +525,7 @@ fn serve_frame(
                     &ControlFrame::Hello { session: sess.session_id, model_id: served },
                 );
                 sess.phase = Phase::Steady;
-                sess.gen = Some(Generation::new(&shared.slot, &shared.config, &sobs.obs));
+                sess.gen = Some(Generation::new(&shared.slot, &shared.config, &shared.obs));
                 Step::Continue
             }
             other => {
@@ -602,17 +545,16 @@ fn serve_frame(
             if let Some(c) = ctx {
                 sess.last_trace = c.trace_id;
             }
-            sess.outcome.frames_in += 1;
-            sobs.frames_in.inc();
-            if sess.outcome.frames_in > session_config.frame_budget {
+            sess.frames_in += 1;
+            metrics.frames_in.inc();
+            if sess.frames_in > session_config.frame_budget {
                 let _ =
                     write_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::FrameBudget });
                 return Step::Close(CloseKind::Clean);
             }
             if deadline_exceeded(&session_config, arrival) {
-                sess.outcome.frames_deadline_shed += 1;
-                sobs.frames_deadline_shed.inc();
-                note_degraded(&mut sess.degraded_noted, sobs, sess.session_id, "deadline shed");
+                metrics.frames_deadline_shed.inc();
+                note_degraded(&mut sess.degraded_noted, shared, sess.session_id, "deadline shed");
                 let notice = busy_frame(&session_config);
                 let _ = write_frame(write_buf, &notice);
                 return Step::Continue;
@@ -624,23 +566,25 @@ fn serve_frame(
             match wire::decode(bytes) {
                 Ok(snapshot) => match gen.classifier.push_guarded(&snapshot) {
                     Ok(FrameVerdict::Repaired { .. }) => {
-                        sess.outcome.frames_repaired += 1;
-                        sobs.frames_repaired.inc();
-                        note_degraded(&mut sess.degraded_noted, sobs, sess.session_id, "repaired");
+                        metrics.frames_repaired.inc();
+                        note_degraded(
+                            &mut sess.degraded_noted,
+                            shared,
+                            sess.session_id,
+                            "repaired",
+                        );
                     }
                     Ok(FrameVerdict::Dropped { .. }) => {
-                        sess.outcome.frames_dropped += 1;
-                        sobs.frames_dropped.inc();
-                        note_degraded(&mut sess.degraded_noted, sobs, sess.session_id, "dropped");
+                        metrics.frames_dropped.inc();
+                        note_degraded(&mut sess.degraded_noted, shared, sess.session_id, "dropped");
                     }
                     Ok(FrameVerdict::Accepted) => {}
                     Err(e) => return Step::Close(CloseKind::Failed(e.into())),
                 },
                 Err(_) => {
-                    sess.outcome.frames_malformed += 1;
                     gen.classifier.note_malformed();
-                    sobs.frames_malformed.inc();
-                    note_degraded(&mut sess.degraded_noted, sobs, sess.session_id, "malformed");
+                    metrics.frames_malformed.inc();
+                    note_degraded(&mut sess.degraded_noted, shared, sess.session_id, "malformed");
                 }
             }
             publish_feed(
@@ -658,17 +602,16 @@ fn serve_frame(
                 sess.last_trace = c.trace_id;
             }
             let n = wires.len() as u64;
-            sess.outcome.frames_in += n;
-            sobs.frames_in.add(n);
-            if sess.outcome.frames_in > session_config.frame_budget {
+            sess.frames_in += n;
+            metrics.frames_in.add(n);
+            if sess.frames_in > session_config.frame_budget {
                 let _ =
                     write_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::FrameBudget });
                 return Step::Close(CloseKind::Clean);
             }
             if deadline_exceeded(&session_config, arrival) {
-                sess.outcome.frames_deadline_shed += n;
-                sobs.frames_deadline_shed.add(n);
-                note_degraded(&mut sess.degraded_noted, sobs, sess.session_id, "deadline shed");
+                metrics.frames_deadline_shed.add(n);
+                note_degraded(&mut sess.degraded_noted, shared, sess.session_id, "deadline shed");
                 let statuses = vec![FrameDisposition::Expired; wires.len()];
                 let reply = ControlFrame::VerdictBatch { statuses };
                 let _ = write_frame_single(write_buf, &reply, scratch);
@@ -709,20 +652,17 @@ fn serve_frame(
                     }
                 };
             }
-            sess.outcome.frames_repaired += repaired;
-            sess.outcome.frames_dropped += dropped;
-            sess.outcome.frames_malformed += malformed;
             if repaired > 0 {
-                sobs.frames_repaired.add(repaired);
-                note_degraded(&mut sess.degraded_noted, sobs, sess.session_id, "repaired");
+                metrics.frames_repaired.add(repaired);
+                note_degraded(&mut sess.degraded_noted, shared, sess.session_id, "repaired");
             }
             if dropped > 0 {
-                sobs.frames_dropped.add(dropped);
-                note_degraded(&mut sess.degraded_noted, sobs, sess.session_id, "dropped");
+                metrics.frames_dropped.add(dropped);
+                note_degraded(&mut sess.degraded_noted, shared, sess.session_id, "dropped");
             }
             if malformed > 0 {
-                sobs.frames_malformed.add(malformed);
-                note_degraded(&mut sess.degraded_noted, sobs, sess.session_id, "malformed");
+                metrics.frames_malformed.add(malformed);
+                note_degraded(&mut sess.degraded_noted, shared, sess.session_id, "malformed");
             }
             let reply = ControlFrame::VerdictBatch { statuses };
             let _ = write_frame_single(write_buf, &reply, scratch);
@@ -741,16 +681,13 @@ fn serve_frame(
                 sess.last_trace = c.trace_id;
             }
             let gen = sess.gen.as_ref().expect("steady phase always has a generation");
-            let span = sobs.obs.tracer.span(sobs.classify_span);
+            let span = shared.obs.tracer.span(shared.classify_span);
             let start = Instant::now();
             let verdict = verdict_frame(&gen.classifier, model_id, ctx);
             let _ = write_frame(write_buf, &verdict);
             drop(span);
-            let elapsed = start.elapsed();
-            sess.outcome.classify_latency.record(elapsed);
-            sobs.classify_latency.record(elapsed);
-            sobs.classify_total.inc();
-            sess.outcome.verdicts += 1;
+            metrics.classify_latency.record(start.elapsed());
+            metrics.verdicts.inc();
             publish_feed(
                 Some(&shared.feed),
                 sess.session_id,
@@ -775,9 +712,9 @@ fn serve_frame(
             };
             let (old, new_id) = shared.slot.swap(new);
             if old != new_id {
-                sobs.swap_total.inc();
-                sobs.swap_latency.record(start.elapsed());
-                sobs.obs.incident(&format!(
+                metrics.swap_total.inc();
+                metrics.swap_latency.record(start.elapsed());
+                shared.obs.incident(&format!(
                     "session {}: model swap {old:#018x} -> {new_id:#018x}",
                     sess.session_id
                 ));
@@ -787,12 +724,12 @@ fn serve_frame(
             if old != new_id {
                 // Our own swap: rebuild eagerly rather than waiting for
                 // the next frame's epoch poll.
-                rebuild_if_swapped(sess, shared, sobs);
+                rebuild_if_swapped(sess, shared);
             }
             Step::Continue
         }
         ControlFrameRef::Other(ControlFrame::Stats { .. }) => {
-            let text = sobs.obs.registry.render();
+            let text = shared.obs.registry.render();
             let _ = write_frame(write_buf, &ControlFrame::Stats { text });
             Step::Continue
         }
@@ -819,9 +756,9 @@ fn serve_frame(
 /// One flight-recorder incident per session degradation episode: the
 /// first degraded frame, not all of them. Takes the latch alone so the
 /// caller can hold disjoint borrows into the rest of the session.
-fn note_degraded(noted: &mut bool, sobs: &ShardObs, session_id: u32, what: &str) {
+fn note_degraded(noted: &mut bool, shared: &Shared, session_id: u32, what: &str) {
     if !*noted {
         *noted = true;
-        sobs.obs.incident(&format!("session {session_id}: first degraded frame ({what})"));
+        shared.obs.incident(&format!("session {session_id}: first degraded frame ({what})"));
     }
 }

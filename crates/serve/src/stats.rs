@@ -1,12 +1,19 @@
-//! Aggregate serving statistics: session/frame counters, merged
-//! telemetry health, per-stage costs, and a classify-latency histogram.
+//! Serving statistics: the registry is the one accounting system.
 //!
-//! Every session accumulates its own [`SessionOutcome`]; when the session
-//! ends its shard folds it into the shard's own [`ServerStats`], and the
-//! shards' reports merge once at join, so per-frame hot paths never
-//! contend on shared state.
+//! `ServeMetrics` registers every `serve_*` metric once, when the
+//! server binds, in the server's own registry. The acceptor and every
+//! shard update those shared atomic handles in place (a relaxed add on
+//! the hot path, no lock), so the live `Stats` exposition and the
+//! end-of-run [`ServerStats`] are two reads of the same numbers:
+//! [`Server::join`](crate::Server::join) builds its report field for
+//! field from the handles. The two aggregates that are not counters,
+//! merged [`TelemetryHealth`] and per-stage [`StageMetrics`], are
+//! folded under one mutex once per session model generation, never per
+//! frame.
 
 use appclass_metrics::{StageMetrics, TelemetryHealth};
+use appclass_obs::{Counter, Gauge, Histogram, Registry};
+use parking_lot::Mutex;
 use std::fmt;
 
 /// Power-of-two-nanosecond latency histogram, re-exported from the
@@ -16,34 +23,11 @@ use std::fmt;
 /// bound of the bucket holding the requested rank.
 pub use appclass_obs::LatencyHistogram;
 
-/// What one finished session contributes to the aggregate stats.
-#[derive(Debug, Clone, Default)]
-pub struct SessionOutcome {
-    /// Snapshot frames received (before guard admission).
-    pub frames_in: u64,
-    /// Frames the guard repaired before classification.
-    pub frames_repaired: u64,
-    /// Frames the guard dropped.
-    pub frames_dropped: u64,
-    /// Snapshot payloads that failed to decode.
-    pub frames_malformed: u64,
-    /// Frames shed because they overran the per-frame deadline budget
-    /// (acknowledged with `Busy` or `Expired`, never classified).
-    pub frames_deadline_shed: u64,
-    /// Verdicts served to the client.
-    pub verdicts: u64,
-    /// Final telemetry health of the session's frame guard.
-    pub health: TelemetryHealth,
-    /// Per-stage costs of the session's online classifier.
-    pub stage_metrics: StageMetrics,
-    /// Latency of each `Classify` round (guard + pipeline + encode).
-    pub classify_latency: LatencyHistogram,
-}
-
 /// Aggregate statistics for one server lifetime.
 #[derive(Debug, Clone, Default)]
 pub struct ServerStats {
-    /// Sessions admitted past the handshake.
+    /// Connections admitted to a shard. Counted before the handshake,
+    /// so a refused `Hello` is both started and errored.
     pub sessions_started: u64,
     /// Sessions that ran to a clean end (`Bye` or drained shutdown).
     pub sessions_finished: u64,
@@ -74,38 +58,76 @@ pub struct ServerStats {
     pub classify_latency: LatencyHistogram,
 }
 
-impl ServerStats {
-    /// Folds another aggregate into this one — how the server
-    /// combines per-shard stats (each owned lock-free by its shard
-    /// thread) into one report at join time.
-    pub fn merge(&mut self, other: &ServerStats) {
-        self.sessions_started += other.sessions_started;
-        self.sessions_finished += other.sessions_finished;
-        self.sessions_rejected += other.sessions_rejected;
-        self.sessions_busy += other.sessions_busy;
-        self.session_errors += other.session_errors;
-        self.frames_in += other.frames_in;
-        self.frames_repaired += other.frames_repaired;
-        self.frames_dropped += other.frames_dropped;
-        self.frames_malformed += other.frames_malformed;
-        self.frames_deadline_shed += other.frames_deadline_shed;
-        self.verdicts += other.verdicts;
-        self.health.merge(&other.health);
-        self.stage_metrics.merge(&other.stage_metrics);
-        self.classify_latency.merge(&other.classify_latency);
+/// Every `serve_*` handle of one server, registered once at bind and
+/// shared by the acceptor and all shards. Field names follow the
+/// [`ServerStats`] fields they report as.
+pub(crate) struct ServeMetrics {
+    pub(crate) sessions_started: Counter,
+    pub(crate) sessions_finished: Counter,
+    pub(crate) sessions_rejected: Counter,
+    /// Soft `Busy` refusals while shedding.
+    pub(crate) sessions_busy: Counter,
+    pub(crate) session_errors: Counter,
+    pub(crate) swap_total: Counter,
+    pub(crate) swap_latency: Histogram,
+    pub(crate) frames_deadline_shed: Counter,
+    pub(crate) overload_state: Gauge,
+    pub(crate) queue_depth: Gauge,
+    pub(crate) frames_in: Counter,
+    pub(crate) frames_repaired: Counter,
+    pub(crate) frames_dropped: Counter,
+    pub(crate) frames_malformed: Counter,
+    pub(crate) verdicts: Counter,
+    pub(crate) classify_latency: Histogram,
+    /// Telemetry health and stage costs of every finished model
+    /// generation (see `session::finish`).
+    pub(crate) generations: Mutex<(TelemetryHealth, StageMetrics)>,
+}
+
+impl ServeMetrics {
+    /// Registers every serving metric, in exposition order, so a fresh
+    /// server's `Stats` reply already names all of them.
+    pub(crate) fn register(registry: &Registry) -> ServeMetrics {
+        ServeMetrics {
+            sessions_started: registry.counter("serve_sessions_started_total"),
+            sessions_finished: registry.counter("serve_sessions_finished_total"),
+            sessions_rejected: registry.counter("serve_sessions_rejected_total"),
+            sessions_busy: registry.counter("serve_shed_total"),
+            session_errors: registry.counter("serve_session_errors_total"),
+            swap_total: registry.counter("serve_model_swap_total"),
+            swap_latency: registry.histogram("serve_model_swap_latency"),
+            frames_deadline_shed: registry.counter("serve_deadline_shed_total"),
+            overload_state: registry.gauge("serve_overload_state"),
+            queue_depth: registry.gauge("serve_queue_depth"),
+            frames_in: registry.counter("serve_frames_in_total"),
+            frames_repaired: registry.counter("serve_frames_repaired_total"),
+            frames_dropped: registry.counter("serve_frames_dropped_total"),
+            frames_malformed: registry.counter("serve_frames_malformed_total"),
+            verdicts: registry.counter("serve_classify_total"),
+            classify_latency: registry.histogram("serve_classify_latency"),
+            generations: Mutex::new(Default::default()),
+        }
     }
 
-    /// Folds one finished session into the aggregate.
-    pub fn absorb(&mut self, outcome: &SessionOutcome) {
-        self.frames_in += outcome.frames_in;
-        self.frames_repaired += outcome.frames_repaired;
-        self.frames_dropped += outcome.frames_dropped;
-        self.frames_malformed += outcome.frames_malformed;
-        self.frames_deadline_shed += outcome.frames_deadline_shed;
-        self.verdicts += outcome.verdicts;
-        self.health.merge(&outcome.health);
-        self.stage_metrics.merge(&outcome.stage_metrics);
-        self.classify_latency.merge(&outcome.classify_latency);
+    /// The report as the registry reads now.
+    pub(crate) fn stats(&self) -> ServerStats {
+        let (health, stage_metrics) = self.generations.lock().clone();
+        ServerStats {
+            sessions_started: self.sessions_started.get(),
+            sessions_finished: self.sessions_finished.get(),
+            sessions_rejected: self.sessions_rejected.get(),
+            sessions_busy: self.sessions_busy.get(),
+            session_errors: self.session_errors.get(),
+            frames_in: self.frames_in.get(),
+            frames_repaired: self.frames_repaired.get(),
+            frames_dropped: self.frames_dropped.get(),
+            frames_malformed: self.frames_malformed.get(),
+            frames_deadline_shed: self.frames_deadline_shed.get(),
+            verdicts: self.verdicts.get(),
+            health,
+            stage_metrics,
+            classify_latency: self.classify_latency.snapshot(),
+        }
     }
 }
 
@@ -224,45 +246,21 @@ mod tests {
     }
 
     #[test]
-    fn absorb_folds_session_counters() {
-        let mut stats = ServerStats::default();
-        let mut outcome = SessionOutcome { frames_in: 10, verdicts: 3, ..Default::default() };
-        outcome.health.seen = 10;
-        outcome.health.accepted = 9;
-        outcome.classify_latency.record(Duration::from_micros(3));
-        outcome.stage_metrics.record("knn", 10, Duration::from_micros(20));
-        stats.absorb(&outcome);
-        stats.absorb(&outcome);
-        assert_eq!(stats.frames_in, 20);
-        assert_eq!(stats.verdicts, 6);
-        assert_eq!(stats.health.seen, 20);
-        assert_eq!(stats.classify_latency.count(), 2);
-        assert_eq!(stats.stage_metrics.get("knn").unwrap().samples, 20);
-    }
-
-    #[test]
-    fn merge_adds_every_counter_and_folds_histograms() {
-        let mut a = ServerStats {
-            sessions_started: 2,
-            sessions_finished: 1,
-            sessions_rejected: 3,
-            sessions_busy: 4,
-            session_errors: 1,
-            frames_in: 10,
-            verdicts: 5,
-            ..Default::default()
-        };
-        a.classify_latency.record(Duration::from_micros(2));
-        let mut b = ServerStats { sessions_started: 1, frames_in: 7, ..Default::default() };
-        b.health.seen = 7;
-        b.classify_latency.record(Duration::from_micros(9));
-        a.merge(&b);
-        assert_eq!(a.sessions_started, 3);
-        assert_eq!(a.sessions_rejected, 3);
-        assert_eq!(a.sessions_busy, 4);
-        assert_eq!(a.frames_in, 17);
-        assert_eq!(a.health.seen, 7);
-        assert_eq!(a.classify_latency.count(), 2);
+    fn stats_read_the_registry_handles() {
+        let registry = Registry::new();
+        let metrics = ServeMetrics::register(&registry);
+        metrics.sessions_busy.inc();
+        metrics.frames_in.add(7);
+        metrics.classify_latency.record(Duration::from_micros(3));
+        metrics.generations.lock().0.seen = 7;
+        let stats = metrics.stats();
+        assert_eq!(stats.sessions_busy, 1);
+        assert_eq!(stats.frames_in, 7);
+        assert_eq!(stats.classify_latency.count(), 1);
+        assert_eq!(stats.health.seen, 7);
+        let text = registry.render();
+        assert!(text.contains("serve_shed_total 1\n"), "{text}");
+        assert!(text.contains("serve_frames_in_total 7\n"), "{text}");
     }
 
     #[test]

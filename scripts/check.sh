@@ -20,6 +20,20 @@ echo "== cargo test --workspace -q =="
 # inside every crate under crates/.
 cargo test --workspace -q
 
+# Static checks run before the smokes, so they still run on hosts where
+# a timing gate in bench_smoke.sh fails.
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+# --all-targets lints benches, tests and examples too, so one that still
+# names a deleted item fails here instead of rotting.
+cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo fmt --check =="
+cargo fmt --check
+
+echo "== cargo doc --workspace --no-deps (warnings denied) =="
+# A doc link to a renamed or deleted item fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== server smoke test =="
 # Train a model, serve it on an ephemeral port, classify one workload
 # over TCP, and require a clean drain with a nonzero verdict count.
@@ -209,13 +223,5 @@ echo "== bench smoke (BENCH_classify.json) =="
 # Short calibrated measurement of the single-frame vs batched serving
 # paths; fails if BENCH_classify.json is missing or non-parseable.
 BENCH_FRAMES="${BENCH_FRAMES:-512}" ./scripts/bench_smoke.sh
-
-echo "== cargo clippy --workspace --all-targets -- -D warnings =="
-# --all-targets lints benches, tests and examples too, so one that still
-# names a deleted item fails here instead of rotting.
-cargo clippy --workspace --all-targets -- -D warnings
-
-echo "== cargo fmt --check =="
-cargo fmt --check
 
 echo "All checks passed."

@@ -122,11 +122,12 @@ proptest! {
         prop_assert!(CostModel::new(rates).unit_cost(&more_idle) <= base + 1e-9);
     }
 
-    /// The blocked norm-expansion k-NN kernel must agree bitwise (same
-    /// label, same tie-breaks) with the scalar streaming path for any
-    /// training set — including grids dense with exact ties and
-    /// midpoints that sit numerically between neighbours, where the
-    /// expansion's different rounding would flip a naive argmin.
+    /// k-NN batch classification must agree bitwise (same label, same
+    /// tie-breaks) with the per-row streaming path for any training set
+    /// — including grids dense with exact ties and midpoints that sit
+    /// numerically between neighbours. Every batch here is under the
+    /// 512-row thread split; `batch_bitwise_identical_to_streaming` in
+    /// `core::knn` covers both sides of it.
     #[test]
     fn blocked_knn_batch_matches_scalar_streaming(
         dim in 1usize..5,

@@ -4,7 +4,7 @@
 
 mod common;
 
-use appclass::metrics::{NodeId, Snapshot};
+use appclass::metrics::{ByeReason, FaultPlan, NodeId, Snapshot};
 use appclass::prelude::AppClass;
 use appclass::serve::{ClientConfig, ServeClient, ServeError, Server, ServerConfig};
 use appclass::sim::runner::run_spec;
@@ -208,4 +208,85 @@ fn shard_sessions_survive_a_hot_swap() {
     let stats = server.join().unwrap();
     assert_eq!(stats.sessions_finished, 2);
     assert_eq!(stats.session_errors, 0);
+}
+
+/// The registry is the server's one accounting system: every counter
+/// field of `join()`'s report must equal the matching line of the final
+/// exposition, through a clean session, a lossy one, a refused
+/// handshake and a hard `SessionLimit` refusal. One shard keeps the
+/// refusal deterministic: the shard retires the mismatched session
+/// before it answers the next `Hello`, so two held sessions fill
+/// exactly the two admission slots.
+#[test]
+fn join_stats_are_the_registry_counters() {
+    let pipeline = Arc::new(common::trained_pipeline());
+    let config = ServerConfig { max_sessions: 2, backlog: 0, shards: 1, ..ServerConfig::default() };
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&pipeline), config).unwrap();
+    let addr = server.local_addr();
+    let obs = server.observability().clone();
+    let specs = training_specs();
+
+    let mismatched = ClientConfig { model_id: pipeline.model_id() ^ 1, ..ClientConfig::default() };
+    match ServeClient::connect(addr, mismatched) {
+        Err(ServeError::Rejected { reason }) => assert_eq!(reason, ByeReason::ModelMismatch),
+        other => panic!("mismatched Hello must be refused, got {:?}", other.map(|_| ())),
+    }
+
+    let mut clean = ServeClient::connect(addr, ClientConfig::default()).unwrap();
+    clean.stream_snapshots(&snapshots_of(&specs[1], 83, 7100)).unwrap();
+    clean.classify().unwrap();
+    let clean_health = clean.health().unwrap();
+
+    let mut plan = FaultPlan::lossless(5);
+    plan.truncate_rate = 0.2;
+    plan.corrupt_rate = 0.1;
+    let mut lossy =
+        ServeClient::connect(addr, ClientConfig { model_id: 0, chaos: Some(plan), tracer: None })
+            .unwrap();
+    lossy.stream_batch(&snapshots_of(&specs[0], 84, 7200), 16).unwrap();
+    lossy.classify().unwrap();
+    let lossy_health = lossy.health().unwrap();
+
+    match ServeClient::connect(addr, ClientConfig::default()) {
+        Err(ServeError::Rejected { reason }) => assert_eq!(reason, ByeReason::SessionLimit),
+        other => panic!("a third session must be refused, got {:?}", other.map(|_| ())),
+    }
+    assert_eq!(clean.bye().unwrap(), ByeReason::Normal);
+    assert_eq!(lossy.bye().unwrap(), ByeReason::Normal);
+
+    server.shutdown();
+    let stats = server.join().unwrap();
+    let text = obs.registry.render();
+    let exposed = |name: &str| -> u64 {
+        let line = text.lines().find(|l| l.split(' ').next() == Some(name));
+        let value = line.unwrap_or_else(|| panic!("{name} missing from:\n{text}"));
+        value.split(' ').nth(1).unwrap().parse().unwrap()
+    };
+    for (field, value, name) in [
+        ("sessions_started", stats.sessions_started, "serve_sessions_started_total"),
+        ("sessions_finished", stats.sessions_finished, "serve_sessions_finished_total"),
+        ("sessions_rejected", stats.sessions_rejected, "serve_sessions_rejected_total"),
+        ("sessions_busy", stats.sessions_busy, "serve_shed_total"),
+        ("session_errors", stats.session_errors, "serve_session_errors_total"),
+        ("frames_in", stats.frames_in, "serve_frames_in_total"),
+        ("frames_repaired", stats.frames_repaired, "serve_frames_repaired_total"),
+        ("frames_dropped", stats.frames_dropped, "serve_frames_dropped_total"),
+        ("frames_malformed", stats.frames_malformed, "serve_frames_malformed_total"),
+        ("frames_deadline_shed", stats.frames_deadline_shed, "serve_deadline_shed_total"),
+        ("verdicts", stats.verdicts, "serve_classify_total"),
+        ("classify_latency", stats.classify_latency.count(), "serve_classify_latency_count"),
+    ] {
+        assert_eq!(value, exposed(name), "{field} vs {name}");
+    }
+    assert_eq!((stats.sessions_started, stats.sessions_finished), (3, 2));
+    assert_eq!((stats.sessions_rejected, stats.session_errors, stats.verdicts), (1, 1, 2));
+    assert!(
+        stats.frames_repaired + stats.frames_dropped + stats.frames_malformed > 0,
+        "the lossy link must degrade some frames: {stats}"
+    );
+    assert_eq!(
+        stats.health.seen,
+        clean_health.seen + lossy_health.seen,
+        "folded health must be the sum of the per-session reports"
+    );
 }
