@@ -11,17 +11,19 @@
 //!
 //! The store persists as a log-structured file: an 8-byte header
 //! (`b"APDB"` magic + big-endian version) followed by framed records,
-//! each `u32 BE length ‖ body ‖ u64 BE FNV-1a-64(body)` — the same
-//! checksum discipline the control-frame wire codec uses. The body is a
-//! kind byte (1 = one [`RunRecord`], 2 = a full checkpoint) followed by
-//! JSON. Appends go through [`AppDbWriter`], which fsyncs each frame;
-//! [`ApplicationDb::open`] recovers a log by truncating a torn tail (the
-//! only damage a crash mid-append can cause) while a *complete* record
-//! that fails its checksum surfaces as [`Error::CorruptDb`] naming the
-//! record index and byte offset. Compaction rewrites the log as a single
-//! checkpoint record via temp file + fsync + rename, after which new
-//! appends form the tail. The legacy whole-file JSON snapshot
-//! (`save`/`load`) remains supported and is now written atomically.
+//! each `u32 BE length ‖ body ‖ u64 BE FNV-1a-64(body)`: the byte-wise
+//! [`fnv1a64`], kept apart from the control-frame checksum so that a
+//! log written under one protocol version stays readable under the
+//! next. The body is a kind byte (1 = one [`RunRecord`], 2 = a full
+//! checkpoint) followed by JSON. Appends go through [`AppDbWriter`],
+//! which fsyncs each frame; [`ApplicationDb::open`] recovers a log by
+//! truncating a torn tail (the only damage a crash mid-append can
+//! cause) while a *complete* record that fails its checksum surfaces as
+//! [`Error::CorruptDb`] naming the record index and byte offset.
+//! Compaction rewrites the log as a single checkpoint record via temp
+//! file + fsync + rename, after which new appends form the tail. The
+//! legacy whole-file JSON snapshot (`save`/`load`) remains supported
+//! and is now written atomically.
 
 use crate::class::{AppClass, ClassComposition};
 use crate::cost::CostModel;

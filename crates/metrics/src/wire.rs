@@ -11,15 +11,24 @@
 //!
 //! Layered on top, [`ControlFrame`] is the session protocol the
 //! `appclass-serve` TCP service speaks: a versioned envelope (magic,
-//! version, kind byte) around a typed payload, closed by an FNV-1a
-//! checksum over everything before it. The checksum makes the control
-//! layer strictly stronger than the snapshot datagram layer: *any* flipped
-//! byte in a control frame is detected and surfaces as a typed
+//! version, kind byte) around a typed payload, closed by a
+//! [`control_checksum`] over everything before it. The checksum makes the
+//! control layer strictly stronger than the snapshot datagram layer: any
+//! change confined to one aligned 8-byte word of a control frame, every
+//! single flipped byte included, is detected and surfaces as a typed
 //! [`Error::MalformedWire`], never a panic and never silent corruption.
 //! Snapshot announcements travel *inside* [`ControlFrame::Snapshot`] as
 //! raw datagram bytes, so a lossy channel can still mangle the inner
 //! announcement (that is the fault domain [`crate::repair::FrameGuard`]
 //! owns) while the session envelope stays verifiable.
+//!
+//! Both directions take one pass. [`encode_control_into`] writes a frame
+//! (length prefix, envelope, payload, trailer) straight into a
+//! caller-owned buffer, and [`BatchEncoder`] builds a
+//! [`ControlFrame::SnapshotBatch`] in place as datagrams arrive.
+//! [`decode_control_borrowed`] validates a frame once and hands snapshot
+//! datagrams back as slices of the input, a batch as a lazy
+//! [`BatchItems`] walk.
 
 use crate::error::{Error, Result};
 use crate::metric::{MetricFrame, METRIC_COUNT};
@@ -27,7 +36,7 @@ use crate::repair::TelemetryHealth;
 use crate::snapshot::{NodeId, Snapshot};
 use appclass_obs::trace::TRACE_EXT_LEN;
 use appclass_obs::TraceContext;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 /// Magic bytes opening every announcement ("GMON").
 pub const MAGIC: u32 = 0x474D_4F4E;
@@ -38,55 +47,72 @@ pub const VERSION: u16 = 1;
 /// Encoded size of one announcement: header + payload.
 pub const WIRE_SIZE: usize = 4 + 2 + 2 + 4 + 8 + METRIC_COUNT * 8;
 
+/// Offset of the first metric value in an announcement.
+const VALUES_AT: usize = 20;
+
+/// Magic, version and metric count open every announcement; all three
+/// are constants, so they travel as one big-endian word.
+const HEADER_WORD: u64 = (MAGIC as u64) << 32 | (VERSION as u64) << 16 | METRIC_COUNT as u64;
+
 /// Encodes a snapshot into its wire representation.
 pub fn encode(snapshot: &Snapshot) -> Bytes {
-    let mut buf = BytesMut::with_capacity(WIRE_SIZE);
-    buf.put_u32(MAGIC);
-    buf.put_u16(VERSION);
-    buf.put_u16(METRIC_COUNT as u16);
-    buf.put_u32(snapshot.node.0);
-    buf.put_u64(snapshot.time);
-    for &v in snapshot.frame.as_slice() {
-        buf.put_f64(v);
+    let mut out = [0u8; WIRE_SIZE];
+    encode_into(snapshot, &mut out);
+    Bytes::from(out.to_vec())
+}
+
+/// Writes a snapshot's announcement into a fixed-size array: one store
+/// for the constant header word, one each for the node and the time, one
+/// per metric value. A frame narrower than the catalogue (only a
+/// malformed deserialized one can be) pads with NaN, so its announcement
+/// never decodes.
+pub fn encode_into(snapshot: &Snapshot, out: &mut [u8; WIRE_SIZE]) {
+    let (header, values) = out.split_at_mut(VALUES_AT);
+    header[..8].copy_from_slice(&HEADER_WORD.to_be_bytes());
+    header[8..12].copy_from_slice(&snapshot.node.0.to_be_bytes());
+    header[12..].copy_from_slice(&snapshot.time.to_be_bytes());
+    let frame = snapshot.frame.as_slice();
+    for (i, slot) in values.chunks_exact_mut(8).enumerate() {
+        let v = frame.get(i).copied().unwrap_or(f64::NAN);
+        slot.copy_from_slice(&v.to_be_bytes());
     }
-    buf.freeze()
 }
 
 /// Decodes a wire announcement back into a snapshot.
 ///
 /// Rejects short buffers, bad magic/version, unexpected metric counts and
-/// non-finite values — all as [`Error::MalformedWire`].
-pub fn decode(mut data: &[u8]) -> Result<Snapshot> {
-    if data.len() < WIRE_SIZE {
+/// non-finite values — all as [`Error::MalformedWire`]. The values are
+/// parsed into a stack array; the only allocation is the returned
+/// [`MetricFrame`].
+pub fn decode(data: &[u8]) -> Result<Snapshot> {
+    let Some(data) = data.first_chunk::<WIRE_SIZE>() else {
         return Err(Error::MalformedWire { reason: "truncated announcement", offset: data.len() });
+    };
+    let word = |at: usize| u64::from_be_bytes(data[at..at + 8].try_into().expect("8 bytes"));
+    let header = word(0);
+    if header != HEADER_WORD {
+        let (reason, offset) = if (header >> 32) as u32 != MAGIC {
+            ("bad magic", 0)
+        } else if (header >> 16) as u16 != VERSION {
+            ("unsupported version", 4)
+        } else {
+            ("unexpected metric count", 6)
+        };
+        return Err(Error::MalformedWire { reason, offset });
     }
-    let magic = data.get_u32();
-    if magic != MAGIC {
-        return Err(Error::MalformedWire { reason: "bad magic", offset: 0 });
-    }
-    let version = data.get_u16();
-    if version != VERSION {
-        return Err(Error::MalformedWire { reason: "unsupported version", offset: 4 });
-    }
-    let count = data.get_u16() as usize;
-    if count != METRIC_COUNT {
-        return Err(Error::MalformedWire { reason: "unexpected metric count", offset: 6 });
-    }
-    let node = NodeId(data.get_u32());
-    let time = data.get_u64();
-    let mut values = Vec::with_capacity(METRIC_COUNT);
-    for i in 0..METRIC_COUNT {
-        let v = data.get_f64();
+    let node = NodeId((word(8) >> 32) as u32);
+    let time = word(12);
+    let mut values = [0.0f64; METRIC_COUNT];
+    for (i, slot) in values.iter_mut().enumerate() {
+        let offset = VALUES_AT + i * 8;
+        let v = f64::from_bits(word(offset));
         if !v.is_finite() {
-            return Err(Error::MalformedWire {
-                reason: "non-finite metric value",
-                offset: 20 + i * 8,
-            });
+            return Err(Error::MalformedWire { reason: "non-finite metric value", offset });
         }
-        values.push(v);
+        *slot = v;
     }
     let frame = MetricFrame::from_values(&values)
-        .ok_or(Error::MalformedWire { reason: "frame width mismatch", offset: 20 })?;
+        .ok_or(Error::MalformedWire { reason: "frame width mismatch", offset: VALUES_AT })?;
     Ok(Snapshot::new(node, time, frame))
 }
 
@@ -95,12 +121,18 @@ pub fn decode(mut data: &[u8]) -> Result<Snapshot> {
 /// Magic bytes opening every control frame ("APCS").
 pub const CONTROL_MAGIC: u32 = 0x4150_4353;
 
-/// Control protocol version negotiated by the `Hello` handshake.
-pub const CONTROL_VERSION: u16 = 1;
+/// Control protocol version negotiated by the `Hello` handshake. Version
+/// 2 closes frames with [`control_checksum`]; a version-1 peer (byte-wise
+/// [`fnv1a64`] trailer) is refused by version, before its checksum is
+/// looked at.
+pub const CONTROL_VERSION: u16 = 2;
 
 /// Envelope overhead: magic + version + kind in front, checksum behind.
 const CONTROL_HEADER: usize = 4 + 2 + 1;
 const CONTROL_TRAILER: usize = 8;
+
+/// Byte-stream length prefix in front of each encoded control frame.
+const LENGTH_PREFIX: usize = 4;
 
 /// Upper bound on a [`ControlFrame::Stats`] exposition text, in bytes.
 /// 64 KiB holds thousands of metric lines — far beyond what the registry
@@ -134,17 +166,45 @@ const _: () = assert!(
         <= MAX_CONTROL_SIZE
 );
 
-/// FNV-1a 64-bit hash — the control-frame checksum and the basis of
-/// deterministic model fingerprints. Flipping any single input byte
-/// always changes the digest (every round is a bijection of the state),
-/// which is exactly the guarantee the corruption proptests pin down.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a 64-bit hash, one byte per round — the basis of deterministic
+/// model fingerprints and of the appdb and modelstore trailers, whose
+/// bytes must never drift. Flipping any single input byte always changes
+/// the digest (every round is a bijection of the state).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = FNV_OFFSET;
     for &b in bytes {
         hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
+}
+
+/// The control-frame checksum: FNV-1a over 8-byte big-endian words, the
+/// last word zero-padded, with the body length folded in as a final
+/// round. Each round (xor a word, multiply by the odd FNV prime) is a
+/// bijection of the state, so any change confined to one aligned 8-byte
+/// word, every single-byte flip included, changes the digest. The length
+/// round is what tells a body from the same body cut short inside its
+/// zero padding. One multiply per eight bytes instead of per byte.
+pub fn control_checksum(body: &[u8]) -> u64 {
+    let mut hash = FNV_OFFSET;
+    let mut words = body.chunks_exact(8);
+    for word in &mut words {
+        hash ^= u64::from_be_bytes(word.try_into().expect("8-byte chunk"));
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        hash ^= u64::from_be_bytes(last);
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    hash ^= body.len() as u64;
+    hash.wrapping_mul(FNV_PRIME)
 }
 
 /// Why a peer is closing (or refusing) a session.
@@ -402,37 +462,89 @@ impl ControlFrame {
     }
 }
 
-/// Encodes a control frame: envelope, payload, FNV-1a checksum.
+/// Encodes a control frame: envelope, payload, [`control_checksum`]
+/// trailer. This is [`encode_control_into`] without the byte-stream
+/// length prefix, into a fresh buffer.
 ///
 /// # Panics
 ///
-/// Panics if a [`ControlFrame::Snapshot`] payload exceeds [`WIRE_SIZE`]
-/// (a faulty channel can only shrink a datagram, never grow it).
+/// As [`encode_control_into`].
 pub fn encode_control(frame: &ControlFrame) -> Bytes {
-    let mut buf = BytesMut::with_capacity(MAX_CONTROL_SIZE);
-    buf.put_u32(CONTROL_MAGIC);
-    buf.put_u16(CONTROL_VERSION);
-    buf.put_u8(frame.kind());
+    let mut out = Vec::new();
+    put_control(frame, &mut out);
+    Bytes::from(out)
+}
+
+/// Appends one control frame to `out` as it travels on a byte stream: a
+/// big-endian `u32` length prefix, then the envelope, payload and
+/// checksum trailer, all written in place. Nothing in `out` is cleared,
+/// so a reply can queue behind unsent ones; a warm buffer encodes
+/// without allocating.
+///
+/// # Panics
+///
+/// Panics if a payload exceeds its protocol bound: a snapshot datagram
+/// larger than [`WIRE_SIZE`] (a faulty channel can only shrink one,
+/// never grow it), more than [`MAX_SNAPSHOT_BATCH`] batch items, or text
+/// over [`MAX_STATS_TEXT`] / [`MAX_MODEL_JSON`].
+pub fn encode_control_into(frame: &ControlFrame, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.put_u32(0);
+    put_control(frame, out);
+    patch_length_prefix(out, start);
+}
+
+/// Writes the big-endian length of everything after the prefix at
+/// `start` into that prefix.
+fn patch_length_prefix(out: &mut [u8], start: usize) {
+    let len = (out.len() - start - LENGTH_PREFIX) as u32;
+    out[start..start + LENGTH_PREFIX].copy_from_slice(&len.to_be_bytes());
+}
+
+/// Appends the envelope that opens every control frame of `kind`.
+fn put_envelope(out: &mut Vec<u8>, kind: u8) {
+    out.put_u32(CONTROL_MAGIC);
+    out.put_u16(CONTROL_VERSION);
+    out.put_u8(kind);
+}
+
+/// Closes the frame whose envelope starts at `start` with the checksum
+/// of everything from there on.
+fn seal(out: &mut Vec<u8>, start: usize) {
+    let checksum = control_checksum(&out[start..]);
+    out.put_u64(checksum);
+}
+
+/// Appends one batch item: its `u16` length, then the datagram bytes.
+fn put_batch_item(out: &mut Vec<u8>, wire: &[u8]) {
+    assert!(wire.len() <= WIRE_SIZE, "snapshot datagram larger than WIRE_SIZE");
+    out.put_u16(wire.len() as u16);
+    out.put_slice(wire);
+}
+
+/// Appends envelope, payload and checksum: the one encoder behind
+/// [`encode_control`] and [`encode_control_into`].
+fn put_control(frame: &ControlFrame, out: &mut Vec<u8>) {
+    let start = out.len();
+    put_envelope(out, frame.kind());
     match frame {
         ControlFrame::Hello { session, model_id } => {
-            buf.put_u32(*session);
-            buf.put_u64(*model_id);
+            out.put_u32(*session);
+            out.put_u64(*model_id);
         }
         ControlFrame::Snapshot { wire, ctx } => {
-            assert!(wire.len() <= WIRE_SIZE, "snapshot datagram larger than WIRE_SIZE");
-            buf.put_u16(wire.len() as u16);
-            buf.put_slice(wire);
-            put_trace_ext(&mut buf, ctx);
+            put_batch_item(out, wire);
+            put_trace_ext(out, ctx);
         }
-        ControlFrame::Classify { ctx } => put_trace_ext(&mut buf, ctx),
+        ControlFrame::Classify { ctx } => put_trace_ext(out, ctx),
         ControlFrame::Verdict { class, confidence, composition, model, ctx } => {
-            buf.put_u8(*class);
-            buf.put_f64(*confidence);
+            out.put_u8(*class);
+            out.put_f64(*confidence);
             for &f in composition {
-                buf.put_f64(f);
+                out.put_f64(f);
             }
-            buf.put_u64(*model);
-            put_trace_ext(&mut buf, ctx);
+            out.put_u64(*model);
+            put_trace_ext(out, ctx);
         }
         ControlFrame::Health(h) => {
             for v in [
@@ -447,51 +559,122 @@ pub fn encode_control(frame: &ControlFrame) -> Bytes {
                 h.values_patched,
                 h.malformed,
             ] {
-                buf.put_u64(v);
+                out.put_u64(v);
             }
-            buf.put_u32(h.max_repair_streak);
-            buf.put_u16(h.dead_metrics.len() as u16);
+            out.put_u32(h.max_repair_streak);
+            out.put_u16(h.dead_metrics.len() as u16);
             for &m in &h.dead_metrics {
-                buf.put_u16(m as u16);
+                out.put_u16(m as u16);
             }
         }
-        ControlFrame::Bye { reason } => buf.put_u8(reason.code()),
+        ControlFrame::Bye { reason } => out.put_u8(reason.code()),
         ControlFrame::Stats { text } => {
             assert!(text.len() <= MAX_STATS_TEXT, "stats exposition larger than MAX_STATS_TEXT");
-            buf.put_u32(text.len() as u32);
-            buf.put_slice(text.as_bytes());
+            out.put_u32(text.len() as u32);
+            out.put_slice(text.as_bytes());
         }
         ControlFrame::SnapshotBatch { wires, ctx } => {
             assert!(wires.len() <= MAX_SNAPSHOT_BATCH, "batch larger than MAX_SNAPSHOT_BATCH");
-            buf.put_u16(wires.len() as u16);
+            out.put_u16(wires.len() as u16);
             for wire in wires {
-                assert!(wire.len() <= WIRE_SIZE, "snapshot datagram larger than WIRE_SIZE");
-                buf.put_u16(wire.len() as u16);
-                buf.put_slice(wire);
+                put_batch_item(out, wire);
             }
-            put_trace_ext(&mut buf, ctx);
+            put_trace_ext(out, ctx);
         }
         ControlFrame::VerdictBatch { statuses } => {
             assert!(statuses.len() <= MAX_SNAPSHOT_BATCH, "batch larger than MAX_SNAPSHOT_BATCH");
-            buf.put_u16(statuses.len() as u16);
+            out.put_u16(statuses.len() as u16);
             for s in statuses {
-                buf.put_u8(s.code());
+                out.put_u8(s.code());
             }
         }
         ControlFrame::SwapModel { json } => {
             assert!(json.len() <= MAX_MODEL_JSON, "model json larger than MAX_MODEL_JSON");
-            buf.put_u32(json.len() as u32);
-            buf.put_slice(json.as_bytes());
+            out.put_u32(json.len() as u32);
+            out.put_slice(json.as_bytes());
         }
         ControlFrame::SwapAck { old_model, new_model } => {
-            buf.put_u64(*old_model);
-            buf.put_u64(*new_model);
+            out.put_u64(*old_model);
+            out.put_u64(*new_model);
         }
-        ControlFrame::Busy { retry_after_ms } => buf.put_u32(*retry_after_ms),
+        ControlFrame::Busy { retry_after_ms } => out.put_u32(*retry_after_ms),
     }
-    let checksum = fnv1a64(&buf);
-    buf.put_u64(checksum);
-    buf.freeze()
+    seal(out, start);
+}
+
+/// A [`ControlFrame::SnapshotBatch`] built in place: each datagram is
+/// appended straight into the length-prefixed frame as it arrives, and
+/// [`finish`](BatchEncoder::finish) fills in the item count, the trace
+/// extension and the checksum. The bytes are exactly those
+/// [`encode_control_into`] writes for the owned frame holding the same
+/// datagrams, without ever building that frame. The buffer is reused
+/// from batch to batch.
+#[derive(Debug, Default)]
+pub struct BatchEncoder {
+    buf: Vec<u8>,
+    count: usize,
+}
+
+/// Offset of the item count in a [`BatchEncoder`] frame: after the
+/// length prefix and the envelope.
+const BATCH_COUNT_AT: usize = LENGTH_PREFIX + CONTROL_HEADER;
+
+impl BatchEncoder {
+    /// An empty encoder; the first push allocates its buffer.
+    pub fn new() -> BatchEncoder {
+        BatchEncoder::default()
+    }
+
+    /// Datagrams in the batch being built.
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// True when no datagram has been pushed since the last
+    /// [`finish`](BatchEncoder::finish).
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Appends one datagram to the batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the datagram is larger than [`WIRE_SIZE`] or the batch
+    /// already holds [`MAX_SNAPSHOT_BATCH`] items.
+    pub fn push(&mut self, wire: &[u8]) {
+        assert!(self.count < MAX_SNAPSHOT_BATCH, "batch larger than MAX_SNAPSHOT_BATCH");
+        if self.count == 0 {
+            self.begin();
+        }
+        put_batch_item(&mut self.buf, wire);
+        self.count += 1;
+    }
+
+    /// Closes the batch with `ctx` and returns the whole frame, length
+    /// prefix first, ready for one `write_all`. The next push starts a
+    /// new batch.
+    pub fn finish(&mut self, ctx: Option<TraceContext>) -> &[u8] {
+        if self.count == 0 {
+            self.begin();
+        }
+        let count = (self.count as u16).to_be_bytes();
+        self.buf[BATCH_COUNT_AT..BATCH_COUNT_AT + 2].copy_from_slice(&count);
+        put_trace_ext(&mut self.buf, &ctx);
+        seal(&mut self.buf, LENGTH_PREFIX);
+        patch_length_prefix(&mut self.buf, 0);
+        self.count = 0;
+        &self.buf
+    }
+
+    /// Starts a frame: length-prefix and item-count placeholders around
+    /// the envelope.
+    fn begin(&mut self) {
+        self.buf.clear();
+        self.buf.put_u32(0);
+        put_envelope(&mut self.buf, 8);
+        self.buf.put_u16(0);
+    }
 }
 
 /// Decodes a control frame, validating envelope, checksum, payload shape
@@ -695,11 +878,9 @@ fn expect_len(got: usize, want: usize) -> Result<()> {
 /// Appends the optional [`TraceContext`] extension after the payload
 /// proper. An absent context appends nothing, so untraced frames are
 /// byte-identical to the pre-extension encoding.
-fn put_trace_ext(buf: &mut BytesMut, ctx: &Option<TraceContext>) {
+fn put_trace_ext(out: &mut Vec<u8>, ctx: &Option<TraceContext>) {
     if let Some(ctx) = ctx {
-        let mut ext = Vec::with_capacity(TRACE_EXT_LEN);
-        ctx.encode(&mut ext);
-        buf.put_slice(&ext);
+        ctx.encode(out);
     }
 }
 
@@ -720,9 +901,11 @@ fn decode_trace_ext(tail: &[u8]) -> Result<Option<TraceContext>> {
 /// [`decode`]. The owning decoder copies every datagram into a fresh
 /// `Vec<u8>` first; at hundreds of thousands of frames per second those
 /// copies are pure overhead. This borrowed view keeps the datagrams as
-/// slices into the caller's read buffer instead. Every other kind is
-/// decoded into its owned [`ControlFrame`] form (control-plane frames are
-/// rare and tiny, so borrowing buys nothing there).
+/// slices into the caller's read buffer instead, and a batch as a
+/// [`BatchItems`] view walked lazily, so decoding a snapshot frame does
+/// not allocate. Every other kind is decoded into its owned
+/// [`ControlFrame`] form (control-plane frames are rare and tiny, so
+/// borrowing buys nothing there).
 ///
 /// There is one decoder: [`decode_control`] is
 /// [`decode_control_borrowed`] followed by
@@ -741,7 +924,7 @@ pub enum ControlFrameRef<'a> {
     /// input buffer.
     SnapshotBatch {
         /// Raw datagram byte slices, in arrival order.
-        wires: Vec<&'a [u8]>,
+        wires: BatchItems<'a>,
         /// Optional distributed-trace context.
         ctx: Option<TraceContext>,
     },
@@ -758,7 +941,7 @@ impl ControlFrameRef<'_> {
                 ControlFrame::Snapshot { wire: wire.to_vec(), ctx: *ctx }
             }
             ControlFrameRef::SnapshotBatch { wires, ctx } => ControlFrame::SnapshotBatch {
-                wires: wires.iter().map(|w| w.to_vec()).collect(),
+                wires: wires.iter().map(<[u8]>::to_vec).collect(),
                 ctx: *ctx,
             },
             ControlFrameRef::Other(frame) => frame.clone(),
@@ -766,10 +949,100 @@ impl ControlFrameRef<'_> {
     }
 }
 
+/// The datagrams of a borrowed [`ControlFrameRef::SnapshotBatch`]: a view
+/// over the frame's item bytes (each a `u16` length, then that many
+/// datagram bytes). [`decode_control_borrowed`] validates every item
+/// once; iterating walks them again in place and allocates nothing.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct BatchItems<'a> {
+    bytes: &'a [u8],
+    count: usize,
+}
+
+impl<'a> BatchItems<'a> {
+    /// Number of datagrams in the batch.
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// True for an empty batch.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The datagrams, in arrival order.
+    pub fn iter(&self) -> BatchItemsIter<'a> {
+        BatchItemsIter { rest: self.bytes, left: self.count }
+    }
+}
+
+impl std::fmt::Debug for BatchItems<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for BatchItems<'a> {
+    type Item = &'a [u8];
+    type IntoIter = BatchItemsIter<'a>;
+
+    fn into_iter(self) -> BatchItemsIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over the datagrams of a [`BatchItems`] view.
+#[derive(Debug, Clone)]
+pub struct BatchItemsIter<'a> {
+    rest: &'a [u8],
+    left: usize,
+}
+
+impl<'a> Iterator for BatchItemsIter<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        if self.left == 0 {
+            return None;
+        }
+        // The view was validated at decode, so neither `?` ever fires.
+        let (len, rest) = self.rest.split_first_chunk::<2>()?;
+        let item = rest.get(..usize::from(u16::from_be_bytes(*len)))?;
+        self.rest = &rest[item.len()..];
+        self.left -= 1;
+        Some(item)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+/// Reads one item's `u16` length off the front of `rest`, checking that
+/// the datagram it announces is no larger than [`WIRE_SIZE`] and fits in
+/// what remains. `truncated` names the failure when it does not fit.
+fn item_len(rest: &mut &[u8], truncated: &'static str) -> Result<usize> {
+    if rest.len() < 2 {
+        return Err(Error::MalformedWire { reason: truncated, offset: CONTROL_HEADER });
+    }
+    let len = rest.get_u16() as usize;
+    if len > WIRE_SIZE {
+        return Err(Error::MalformedWire {
+            reason: "oversized snapshot payload",
+            offset: CONTROL_HEADER,
+        });
+    }
+    if rest.len() < len {
+        return Err(Error::MalformedWire { reason: truncated, offset: CONTROL_HEADER });
+    }
+    Ok(len)
+}
+
 /// Decodes a control frame without copying snapshot payloads: validates
 /// the envelope and checksum once, returns snapshot datagrams as slices
-/// borrowing from `data`, and parses every other kind into its owned
-/// form. [`decode_control`] is this plus a copy.
+/// borrowing from `data` (a batch as a [`BatchItems`] view), and parses
+/// every other kind into its owned form. [`decode_control`] is this plus
+/// a copy.
 pub fn decode_control_borrowed(data: &[u8]) -> Result<ControlFrameRef<'_>> {
     if data.len() < CONTROL_HEADER + CONTROL_TRAILER {
         return Err(Error::MalformedWire { reason: "truncated control frame", offset: data.len() });
@@ -785,7 +1058,7 @@ pub fn decode_control_borrowed(data: &[u8]) -> Result<ControlFrameRef<'_>> {
         return Err(Error::MalformedWire { reason: "unsupported control version", offset: 4 });
     }
     let mut check = trailer;
-    if check.get_u64() != fnv1a64(body) {
+    if check.get_u64() != control_checksum(body) {
         return Err(Error::MalformedWire {
             reason: "control checksum mismatch",
             offset: body.len(),
@@ -794,25 +1067,7 @@ pub fn decode_control_borrowed(data: &[u8]) -> Result<ControlFrameRef<'_>> {
     let kind = rest.get_u8();
     match kind {
         2 => {
-            if rest.len() < 2 {
-                return Err(Error::MalformedWire {
-                    reason: "truncated snapshot payload",
-                    offset: CONTROL_HEADER,
-                });
-            }
-            let len = rest.get_u16() as usize;
-            if len > WIRE_SIZE {
-                return Err(Error::MalformedWire {
-                    reason: "oversized snapshot payload",
-                    offset: CONTROL_HEADER,
-                });
-            }
-            if rest.len() < len {
-                return Err(Error::MalformedWire {
-                    reason: "truncated snapshot payload",
-                    offset: CONTROL_HEADER,
-                });
-            }
+            let len = item_len(&mut rest, "truncated snapshot payload")?;
             let (wire, tail) = rest.split_at(len);
             Ok(ControlFrameRef::Snapshot { wire, ctx: decode_trace_ext(tail)? })
         }
@@ -830,31 +1085,13 @@ pub fn decode_control_borrowed(data: &[u8]) -> Result<ControlFrameRef<'_>> {
                     offset: CONTROL_HEADER,
                 });
             }
-            let mut wires = Vec::with_capacity(count);
+            let items = rest;
             for _ in 0..count {
-                if rest.len() < 2 {
-                    return Err(Error::MalformedWire {
-                        reason: "truncated batch item",
-                        offset: CONTROL_HEADER,
-                    });
-                }
-                let len = rest.get_u16() as usize;
-                if len > WIRE_SIZE {
-                    return Err(Error::MalformedWire {
-                        reason: "oversized snapshot payload",
-                        offset: CONTROL_HEADER,
-                    });
-                }
-                if rest.len() < len {
-                    return Err(Error::MalformedWire {
-                        reason: "truncated batch item",
-                        offset: CONTROL_HEADER,
-                    });
-                }
-                let (item, tail) = rest.split_at(len);
-                wires.push(item);
-                rest = tail;
+                let len = item_len(&mut rest, "truncated batch item")?;
+                rest = &rest[len..];
             }
+            let bytes = &items[..items.len() - rest.len()];
+            let wires = BatchItems { bytes, count };
             Ok(ControlFrameRef::SnapshotBatch { wires, ctx: decode_trace_ext(rest)? })
         }
         _ => decode_other(kind, rest).map(ControlFrameRef::Other),
@@ -865,6 +1102,7 @@ pub fn decode_control_borrowed(data: &[u8]) -> Result<ControlFrameRef<'_>> {
 mod tests {
     use super::*;
     use crate::metric::MetricId;
+    use bytes::BytesMut;
 
     fn snapshot() -> Snapshot {
         let mut f = MetricFrame::zeroed();
@@ -1056,6 +1294,68 @@ mod tests {
     }
 
     #[test]
+    fn encode_into_appends_a_length_prefixed_encode_control() {
+        let mut out = vec![0xEE];
+        for frame in control_samples() {
+            let start = out.len();
+            encode_control_into(&frame, &mut out);
+            let bytes = encode_control(&frame);
+            assert_eq!(out[start..start + 4], (bytes.len() as u32).to_be_bytes());
+            assert_eq!(&out[start + 4..], &bytes[..], "{}", frame.name());
+        }
+        assert_eq!(out[0], 0xEE, "earlier bytes are left alone");
+    }
+
+    #[test]
+    fn batch_encoder_writes_the_owned_frames_bytes() {
+        let traced = Some(TraceContext { trace_id: 77, parent_span: 5, flags: 1 });
+        let full = encode(&snapshot()).to_vec();
+        let batches: [(Vec<Vec<u8>>, Option<TraceContext>); 4] = [
+            (Vec::new(), None),
+            (vec![full.clone()], traced),
+            (vec![full.clone(), Vec::new(), full[..40].to_vec()], None),
+            (vec![full; MAX_SNAPSHOT_BATCH], traced),
+        ];
+        let mut enc = BatchEncoder::new();
+        for (wires, ctx) in batches {
+            for w in &wires {
+                enc.push(w);
+            }
+            assert_eq!(enc.len(), wires.len());
+            let mut want = Vec::new();
+            encode_control_into(&ControlFrame::SnapshotBatch { wires, ctx }, &mut want);
+            assert_eq!(enc.finish(ctx), &want[..]);
+            assert!(enc.is_empty(), "finish starts the next batch");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_SNAPSHOT_BATCH")]
+    fn batch_encoder_refuses_an_item_past_the_bound() {
+        let mut enc = BatchEncoder::new();
+        for _ in 0..=MAX_SNAPSHOT_BATCH {
+            enc.push(&[]);
+        }
+    }
+
+    #[test]
+    fn borrowed_batch_items_walk_the_datagrams_in_order() {
+        let wires = vec![encode(&snapshot()).to_vec(), Vec::new(), vec![1, 2, 3]];
+        let frame = ControlFrame::SnapshotBatch { wires: wires.clone(), ctx: None };
+        let bytes = encode_control(&frame);
+        let ControlFrameRef::SnapshotBatch { wires: items, .. } =
+            decode_control_borrowed(&bytes).unwrap()
+        else {
+            panic!("a batch must decode as one");
+        };
+        assert_eq!(items.len(), 3);
+        let walked: Vec<&[u8]> = items.into_iter().collect();
+        let want: Vec<&[u8]> = wires.iter().map(Vec::as_slice).collect();
+        assert_eq!(walked, want);
+        assert_eq!(format!("{items:?}"), format!("{want:?}"));
+    }
+
+    #[test]
     fn borrowed_snapshot_payload_points_into_input() {
         let wire = encode(&snapshot());
         let frame = ControlFrame::Snapshot { wire: wire.to_vec(), ctx: None };
@@ -1107,7 +1407,7 @@ mod tests {
             buf.put_f64(0.2);
         }
         buf.put_u64(1); // model tag
-        let checksum = fnv1a64(&buf);
+        let checksum = control_checksum(&buf);
         buf.put_u64(checksum);
         assert!(matches!(
             decode_control(&buf),
@@ -1124,7 +1424,7 @@ mod tests {
         buf.put_u8(7); // Stats
         buf.put_u32(2);
         buf.put_slice(&[0xFF, 0xFE]);
-        let checksum = fnv1a64(&buf);
+        let checksum = control_checksum(&buf);
         buf.put_u64(checksum);
         assert!(matches!(
             decode_control(&buf),
@@ -1139,7 +1439,7 @@ mod tests {
         buf.put_u16(CONTROL_VERSION);
         buf.put_u8(7);
         buf.put_u32((MAX_STATS_TEXT + 1) as u32);
-        let checksum = fnv1a64(&buf);
+        let checksum = control_checksum(&buf);
         buf.put_u64(checksum);
         assert!(matches!(
             decode_control(&buf),
@@ -1208,7 +1508,7 @@ mod tests {
         TraceContext { trace_id: 7, parent_span: 0, flags: 0 }.encode(&mut ext);
         ext[1..9].copy_from_slice(&0u64.to_le_bytes()); // forge trace_id = 0
         buf.put_slice(&ext);
-        let checksum = fnv1a64(&buf);
+        let checksum = control_checksum(&buf);
         buf.put_u64(checksum);
         assert!(matches!(
             decode_control(&buf),
@@ -1221,7 +1521,7 @@ mod tests {
         // Well-checksummed frames whose declared counts/lengths disagree
         // with the actual payload must fail shape validation.
         let seal = |mut buf: BytesMut| {
-            let checksum = fnv1a64(&buf);
+            let checksum = control_checksum(&buf);
             buf.put_u64(checksum);
             buf.freeze()
         };
@@ -1279,7 +1579,7 @@ mod tests {
         buf.put_u16(CONTROL_VERSION);
         buf.put_u8(10); // SwapModel
         buf.put_u32((MAX_MODEL_JSON + 1) as u32);
-        let checksum = fnv1a64(&buf);
+        let checksum = control_checksum(&buf);
         buf.put_u64(checksum);
         assert!(matches!(
             decode_control(&buf),
@@ -1295,7 +1595,7 @@ mod tests {
         buf.put_u8(10); // SwapModel
         buf.put_u32(2);
         buf.put_slice(&[0xFF, 0xFE]);
-        let checksum = fnv1a64(&buf);
+        let checksum = control_checksum(&buf);
         buf.put_u64(checksum);
         assert!(matches!(
             decode_control(&buf),
@@ -1318,7 +1618,7 @@ mod tests {
         buf.put_u16(2);
         buf.put_u8(1);
         buf.put_u8(7); // no such disposition
-        let checksum = fnv1a64(&buf);
+        let checksum = control_checksum(&buf);
         buf.put_u64(checksum);
         assert!(matches!(
             decode_control(&buf),
@@ -1358,7 +1658,7 @@ mod tests {
         buf.put_u8(12); // Busy
         buf.put_u32(100);
         buf.put_u8(0); // trailing garbage
-        let checksum = fnv1a64(&buf);
+        let checksum = control_checksum(&buf);
         buf.put_u64(checksum);
         assert!(matches!(
             decode_control(&buf),

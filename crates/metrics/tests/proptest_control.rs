@@ -1,11 +1,15 @@
 //! Property tests of the control-frame codec that the serving protocol
 //! rides on: arbitrary frames round-trip exactly, and — because every
-//! frame carries an FNV-1a trailer — *any* byte corruption yields a
-//! typed `MalformedWire` error. Never a panic, never a silently wrong
-//! frame.
+//! frame carries a word-wise FNV-1a trailer — any corruption confined to
+//! one aligned 8-byte word, and any single flipped byte, yields a typed
+//! `MalformedWire` error. Never a panic, never a silently wrong frame.
 
-use appclass_metrics::wire::{decode_control, encode_control, MAX_CONTROL_SIZE, WIRE_SIZE};
-use appclass_metrics::{ByeReason, ControlFrame, Error, TelemetryHealth, METRIC_COUNT};
+use appclass_metrics::wire::{
+    control_checksum, decode_control, encode_control, fnv1a64, MAX_CONTROL_SIZE, WIRE_SIZE,
+};
+use appclass_metrics::{
+    ByeReason, ControlFrame, Error, FrameDisposition, TelemetryHealth, METRIC_COUNT,
+};
 use appclass_obs::trace::TRACE_EXT_LEN;
 use appclass_obs::TraceContext;
 use proptest::prelude::*;
@@ -72,6 +76,115 @@ fn arb_frame() -> impl Strategy<Value = ControlFrame> {
         })
 }
 
+/// One frame of every kind, traced where the kind can be, each with a
+/// payload that ends in zero bytes wherever the kind allows.
+fn one_of_each_kind() -> Vec<ControlFrame> {
+    let ctx = Some(TraceContext { trace_id: 0x0123_4567_89AB_CDEF, parent_span: 9, flags: 0 });
+    let mut datagram = vec![0x5Au8; WIRE_SIZE - 16];
+    datagram.extend_from_slice(&[0; 16]);
+    vec![
+        ControlFrame::Hello { session: 3, model_id: 0 },
+        ControlFrame::Snapshot { wire: datagram.clone(), ctx: None },
+        ControlFrame::Snapshot { wire: datagram.clone(), ctx },
+        ControlFrame::Classify { ctx },
+        ControlFrame::Verdict {
+            class: 1,
+            confidence: 0.75,
+            composition: [0.0, 0.75, 0.25, 0.0, 0.0],
+            model: 0,
+            ctx: None,
+        },
+        ControlFrame::Health(TelemetryHealth {
+            seen: 40,
+            accepted: 38,
+            ..TelemetryHealth::default()
+        }),
+        ControlFrame::Bye { reason: ByeReason::Normal },
+        ControlFrame::Stats { text: "serve_frames_in_total 7\n\0\0\0".to_string() },
+        ControlFrame::SnapshotBatch { wires: vec![datagram.clone(), Vec::new(), datagram], ctx },
+        ControlFrame::VerdictBatch {
+            statuses: vec![FrameDisposition::Repaired, FrameDisposition::Accepted],
+        },
+        ControlFrame::SwapModel { json: "{\"knn\":{}}\0\0".to_string() },
+        ControlFrame::SwapAck { old_model: 5, new_model: 0 },
+        ControlFrame::Busy { retry_after_ms: 0 },
+    ]
+}
+
+/// Decodes `bytes`, requiring a typed `MalformedWire` rejection.
+fn assert_rejected(bytes: &[u8], what: &str) {
+    match decode_control(bytes) {
+        Err(Error::MalformedWire { .. }) => {}
+        Ok(frame) => panic!("{what}: decoded as {frame:?}"),
+        Err(other) => panic!("{what}: wrong error class: {other}"),
+    }
+}
+
+#[test]
+fn every_single_byte_flip_is_rejected_for_every_kind() {
+    for frame in one_of_each_kind() {
+        let bytes = encode_control(&frame).to_vec();
+        assert_eq!(decode_control(&bytes).unwrap(), frame);
+        for at in 0..bytes.len() {
+            for xor in (0..8).map(|bit| 1u8 << bit).chain([0xFF, 0x5A]) {
+                let mut bad = bytes.clone();
+                bad[at] ^= xor;
+                assert_rejected(&bad, &format!("{} byte {at} ^ {xor:#04x}", frame.name()));
+            }
+        }
+    }
+}
+
+#[test]
+fn truncation_at_every_byte_is_rejected_even_inside_zero_padding() {
+    for frame in one_of_each_kind() {
+        let bytes = encode_control(&frame).to_vec();
+        let (body, trailer) = bytes.split_at(bytes.len() - 8);
+        assert!(body.ends_with(&[0]), "{} must end in a zero byte", frame.name());
+        for cut in 0..bytes.len() {
+            assert_rejected(&bytes[..cut], &format!("{} cut at {cut}", frame.name()));
+        }
+        // The body cut short with its trailer intact. Cutting zero bytes
+        // off the last word leaves every zero-padded word unchanged, so
+        // only the length round tells the two bodies apart: the frame
+        // must fail the checksum, before any payload check sees it.
+        for cut in 7..body.len() {
+            let mut short = body[..cut].to_vec();
+            short.extend_from_slice(trailer);
+            match decode_control(&short) {
+                Err(Error::MalformedWire { reason: "control checksum mismatch", .. }) => {}
+                other => panic!("{} body cut at {cut}: {other:?}", frame.name()),
+            }
+        }
+    }
+}
+
+#[test]
+fn checksum_known_answers_pin_the_wire_format() {
+    // The control trailer: words, zero padding and the length round.
+    assert_eq!(control_checksum(b""), 0xaf63_bd4c_8601_b7df);
+    assert_eq!(control_checksum(b"appclass control frame"), 0x458a_28d6_7a89_c1b8);
+    // The byte-wise hash behind model fingerprints and the durable
+    // appdb/modelstore trailers must never drift.
+    assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    // One whole frame, byte for byte: envelope (version 2), payload,
+    // trailer.
+    let hello = encode_control(&ControlFrame::Hello { session: 1, model_id: 2 });
+    let mut want = vec![0x41, 0x50, 0x43, 0x53, 0x00, 0x02, 0x01];
+    want.extend_from_slice(&[0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2]);
+    want.extend_from_slice(&0x42c8_2340_eeef_62ac_u64.to_be_bytes());
+    assert_eq!(&hello[..], &want[..]);
+}
+
+#[test]
+fn zero_bytes_cut_off_the_end_change_the_checksum() {
+    let body = [0x11u8, 0x22, 0x33, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+    let full = control_checksum(&body);
+    for cut in 0..body.len() {
+        assert_ne!(control_checksum(&body[..cut]), full, "cut at {cut}");
+    }
+}
+
 /// The same frame as an old (pre-extension) peer would send it.
 fn strip_ctx(frame: &ControlFrame) -> ControlFrame {
     let mut bare = frame.clone();
@@ -113,6 +226,33 @@ proptest! {
         match decode_control(&bytes) {
             Err(Error::MalformedWire { .. }) => {}
             Ok(decoded) => prop_assert!(false, "flip at {} decoded as {:?}", at, decoded),
+            Err(other) => prop_assert!(false, "wrong error class: {}", other),
+        }
+    }
+
+    #[test]
+    fn any_change_inside_one_aligned_word_is_a_typed_error(
+        frame in arb_frame(),
+        pick in any::<usize>(),
+        mask in any::<u64>(),
+    ) {
+        // Each checksum round is a bijection of the state, so a change
+        // confined to one aligned 8-byte word of the body cannot cancel
+        // out; in the trailer it breaks the stored sum itself.
+        let mut bytes = encode_control(&frame).to_vec();
+        let word = pick % bytes.len().div_ceil(8);
+        let end = (word * 8 + 8).min(bytes.len());
+        let span = &mut bytes[word * 8..end];
+        let mut mask = mask.to_be_bytes();
+        if mask[..span.len()].iter().all(|&m| m == 0) {
+            mask[0] = 1;
+        }
+        for (b, m) in span.iter_mut().zip(mask) {
+            *b ^= m;
+        }
+        match decode_control(&bytes) {
+            Err(Error::MalformedWire { .. }) => {}
+            Ok(decoded) => prop_assert!(false, "word {} change decoded as {:?}", word, decoded),
             Err(other) => prop_assert!(false, "wrong error class: {}", other),
         }
     }

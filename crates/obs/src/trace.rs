@@ -8,7 +8,7 @@
 //! * [`TraceContext`] — the compact context (trace id, parent span id,
 //!   flags) a client stamps onto outgoing frames. It rides the control
 //!   wire as an optional fixed-size extension appended to the payload
-//!   *before* the FNV trailer, so it is covered by the existing
+//!   *before* the checksum trailer, so it is covered by the existing
 //!   checksum and old peers that never send it decode exactly as
 //!   before ([`TraceContext::decode_tail`] treats an empty tail as "no
 //!   context").

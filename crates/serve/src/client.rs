@@ -9,16 +9,15 @@
 //! absorbs the damage.
 
 use crate::error::{Result, ServeError};
-use crate::proto::{read_frame, write_frame, write_frame_single};
+use crate::proto::read_frame;
 use appclass_core::{AppClass, ClassComposition};
 use appclass_metrics::faults::{FaultPlan, FaultyChannel};
-use appclass_metrics::{
-    wire, ByeReason, ControlFrame, FrameDisposition, Snapshot, TelemetryHealth,
-};
+use appclass_metrics::wire::{self, BatchEncoder, WIRE_SIZE};
+use appclass_metrics::{ByeReason, ControlFrame, FrameDisposition, Snapshot, TelemetryHealth};
 use appclass_obs::span::SpanName;
 use appclass_obs::{fresh_trace_id, TraceContext, TraceScope, Tracer};
 use std::collections::VecDeque;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// Client-side knobs.
@@ -100,14 +99,20 @@ pub struct BatchReport {
 /// One connected classification session.
 pub struct ServeClient {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    /// Every frame goes out as one `write_all` of a whole encoded frame,
+    /// so the socket needs no write buffer of its own.
+    writer: TcpStream,
+    /// Encode buffer for single frames, reused from frame to frame.
+    out: Vec<u8>,
+    /// The `SnapshotBatch` being built by [`ServeClient::stream_batch`];
+    /// it keeps its buffer between calls.
+    batch: BatchEncoder,
     session: u32,
     model_id: u64,
     chaos: Option<FaultyChannel>,
     tracing: Option<ClientTracing>,
     snapshots_sent: u64,
     busy_notices: u64,
-    batch_scratch: Vec<u8>,
 }
 
 impl std::fmt::Debug for ServeClient {
@@ -133,7 +138,9 @@ impl ServeClient {
         let reader = BufReader::new(stream.try_clone()?);
         let mut client = ServeClient {
             reader,
-            writer: BufWriter::new(stream),
+            writer: stream,
+            out: Vec::new(),
+            batch: BatchEncoder::new(),
             session: 0,
             model_id: 0,
             chaos: config.chaos.map(FaultyChannel::new),
@@ -145,12 +152,8 @@ impl ServeClient {
             }),
             snapshots_sent: 0,
             busy_notices: 0,
-            batch_scratch: Vec::new(),
         };
-        write_frame(
-            &mut client.writer,
-            &ControlFrame::Hello { session: 0, model_id: config.model_id },
-        )?;
+        client.send(&ControlFrame::Hello { session: 0, model_id: config.model_id })?;
         match read_frame(&mut client.reader)? {
             ControlFrame::Hello { session, model_id } => {
                 client.session = session;
@@ -195,6 +198,14 @@ impl ServeClient {
         self.busy_notices
     }
 
+    /// Encodes one frame into the reused buffer and writes it whole.
+    fn send(&mut self, frame: &ControlFrame) -> Result<()> {
+        self.out.clear();
+        wire::encode_control_into(frame, &mut self.out);
+        self.writer.write_all(&self.out)?;
+        Ok(())
+    }
+
     /// Reads the next reply frame, absorbing (and counting) any
     /// unsolicited `Busy` notices the server interleaved — the deadline
     /// shed path acknowledges stale snapshots with them, and they are
@@ -212,14 +223,15 @@ impl ServeClient {
     /// first crosses the fault channel, so it may be dropped, delayed
     /// (emerging with a later send), duplicated, or corrupted.
     pub fn send_snapshot(&mut self, snapshot: &Snapshot) -> Result<()> {
-        let datagram = wire::encode(snapshot).to_vec();
+        let mut datagram = [0u8; WIRE_SIZE];
+        wire::encode_into(snapshot, &mut datagram);
         match &mut self.chaos {
             Some(chan) => {
                 for delivered in chan.transmit(&datagram) {
                     self.send_wire(delivered)?;
                 }
             }
-            None => self.send_wire(datagram)?,
+            None => self.send_wire(datagram.to_vec())?,
         }
         Ok(())
     }
@@ -256,42 +268,52 @@ impl ServeClient {
     ) -> Result<BatchReport> {
         let cap = max_batch.clamp(1, wire::MAX_SNAPSHOT_BATCH);
         let mut report = BatchReport::default();
-        let mut pending: Vec<Vec<u8>> = Vec::with_capacity(cap);
         let mut outstanding: VecDeque<u64> = VecDeque::new();
+        // The encoder is taken for the call: an error drops a half-built
+        // batch with it instead of leaking it into the next call.
+        let mut batch = std::mem::take(&mut self.batch);
+        let mut datagram = [0u8; WIRE_SIZE];
         for snap in snapshots {
-            let datagram = wire::encode(snap).to_vec();
+            wire::encode_into(snap, &mut datagram);
             match &mut self.chaos {
                 Some(chan) => {
                     for delivered in chan.transmit(&datagram) {
-                        pending.push(delivered);
-                        if pending.len() == cap {
-                            self.send_batch(&mut pending, &mut outstanding, &mut report)?;
-                        }
+                        self.queue(&mut batch, &delivered, cap, &mut outstanding, &mut report)?;
                     }
                 }
-                None => {
-                    pending.push(datagram);
-                    if pending.len() == cap {
-                        self.send_batch(&mut pending, &mut outstanding, &mut report)?;
-                    }
-                }
+                None => self.queue(&mut batch, &datagram, cap, &mut outstanding, &mut report)?,
             }
         }
         if let Some(chan) = &mut self.chaos {
             for delivered in chan.drain() {
-                pending.push(delivered);
-                if pending.len() == cap {
-                    self.send_batch(&mut pending, &mut outstanding, &mut report)?;
-                }
+                self.queue(&mut batch, &delivered, cap, &mut outstanding, &mut report)?;
             }
         }
-        if !pending.is_empty() {
-            self.send_batch(&mut pending, &mut outstanding, &mut report)?;
+        if !batch.is_empty() {
+            self.send_batch(&mut batch, &mut outstanding, &mut report)?;
         }
         while !outstanding.is_empty() {
             self.read_batch_ack(&mut outstanding, &mut report)?;
         }
+        self.batch = batch;
         Ok(report)
+    }
+
+    /// Appends one datagram, clean or as the fault channel delivered it,
+    /// to the pending batch, and sends the batch once it holds `cap`.
+    fn queue(
+        &mut self,
+        batch: &mut BatchEncoder,
+        datagram: &[u8],
+        cap: usize,
+        outstanding: &mut VecDeque<u64>,
+        report: &mut BatchReport,
+    ) -> Result<()> {
+        batch.push(datagram);
+        if batch.len() == cap {
+            self.send_batch(batch, outstanding, report)?;
+        }
+        Ok(())
     }
 
     /// How many batch frames may be in flight before the client blocks
@@ -304,26 +326,21 @@ impl ServeClient {
 
     /// Sends one coalesced batch (a single contiguous write) and records
     /// it as outstanding, collecting the oldest acknowledgement first if
-    /// the pipeline window is full. Leaves `pending` empty for the next
-    /// batch.
+    /// the pipeline window is full. Leaves `batch` empty for the next
+    /// one.
     fn send_batch(
         &mut self,
-        pending: &mut Vec<Vec<u8>>,
+        batch: &mut BatchEncoder,
         outstanding: &mut VecDeque<u64>,
         report: &mut BatchReport,
     ) -> Result<()> {
         if outstanding.len() >= Self::BATCH_WINDOW {
             self.read_batch_ack(outstanding, report)?;
         }
-        let wires = std::mem::take(pending);
-        let count = wires.len() as u64;
+        let count = batch.len() as u64;
         let stamped = self.tracing.as_ref().map(|t| t.stamp(t.send_name));
         let ctx = stamped.as_ref().map(|s| s.0);
-        write_frame_single(
-            &mut self.writer,
-            &ControlFrame::SnapshotBatch { wires, ctx },
-            &mut self.batch_scratch,
-        )?;
+        self.writer.write_all(batch.finish(ctx))?;
         self.snapshots_sent += count;
         report.sent += count;
         report.batches += 1;
@@ -365,7 +382,7 @@ impl ServeClient {
     fn send_wire(&mut self, bytes: Vec<u8>) -> Result<()> {
         let stamped = self.tracing.as_ref().map(|t| t.stamp(t.send_name));
         let ctx = stamped.as_ref().map(|s| s.0);
-        write_frame(&mut self.writer, &ControlFrame::Snapshot { wire: bytes, ctx })?;
+        self.send(&ControlFrame::Snapshot { wire: bytes, ctx })?;
         self.snapshots_sent += 1;
         Ok(())
     }
@@ -376,7 +393,7 @@ impl ServeClient {
     pub fn classify(&mut self) -> Result<VerdictReport> {
         let stamped = self.tracing.as_ref().map(|t| t.stamp(t.classify_name));
         let ctx = stamped.as_ref().map(|s| s.0);
-        write_frame(&mut self.writer, &ControlFrame::Classify { ctx })?;
+        self.send(&ControlFrame::Classify { ctx })?;
         match self.read_reply()? {
             ControlFrame::Verdict { class, confidence, composition, model, ctx } => {
                 let class = AppClass::from_index(class as usize)
@@ -399,7 +416,7 @@ impl ServeClient {
     /// success the client adopts the new fingerprint as its own
     /// expectation.
     pub fn swap_model(&mut self, json: &str) -> Result<(u64, u64)> {
-        write_frame(&mut self.writer, &ControlFrame::SwapModel { json: json.to_string() })?;
+        self.send(&ControlFrame::SwapModel { json: json.to_string() })?;
         match self.read_reply()? {
             ControlFrame::SwapAck { old_model, new_model } => {
                 self.model_id = new_model;
@@ -414,7 +431,7 @@ impl ServeClient {
     /// text dump of the shared observability registry (empty when the
     /// server runs without observability).
     pub fn stats(&mut self) -> Result<String> {
-        write_frame(&mut self.writer, &ControlFrame::Stats { text: String::new() })?;
+        self.send(&ControlFrame::Stats { text: String::new() })?;
         match self.read_reply()? {
             ControlFrame::Stats { text } => Ok(text),
             ControlFrame::Bye { reason } => Err(ServeError::Rejected { reason }),
@@ -424,7 +441,7 @@ impl ServeClient {
 
     /// Asks the server for the session's telemetry health report.
     pub fn health(&mut self) -> Result<TelemetryHealth> {
-        write_frame(&mut self.writer, &ControlFrame::Health(TelemetryHealth::default()))?;
+        self.send(&ControlFrame::Health(TelemetryHealth::default()))?;
         match self.read_reply()? {
             ControlFrame::Health(health) => Ok(health),
             ControlFrame::Bye { reason } => Err(ServeError::Rejected { reason }),
@@ -434,7 +451,7 @@ impl ServeClient {
 
     /// Ends the session cleanly; returns the server's farewell reason.
     pub fn bye(mut self) -> Result<ByeReason> {
-        write_frame(&mut self.writer, &ControlFrame::Bye { reason: ByeReason::Normal })?;
+        self.send(&ControlFrame::Bye { reason: ByeReason::Normal })?;
         match self.read_reply()? {
             ControlFrame::Bye { reason } => Ok(reason),
             other => Err(ServeError::UnexpectedFrame { expected: "Bye", got: other.name() }),

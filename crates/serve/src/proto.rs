@@ -2,10 +2,10 @@
 //!
 //! TCP gives the service a byte pipe, not datagrams, so every control
 //! frame travels as a big-endian `u32` length prefix followed by exactly
-//! that many [`wire::encode_control`] bytes. The prefix is bounded by
-//! [`MAX_FRAME_BYTES`]; a larger announcement is rejected *before* any
-//! allocation, so a corrupt or hostile peer cannot make the server
-//! buffer unbounded garbage.
+//! that many [`wire::encode_control`] bytes; [`wire::encode_control_into`]
+//! writes both. The prefix is bounded by [`MAX_FRAME_BYTES`]; a larger
+//! announcement is rejected *before* any allocation, so a corrupt or
+//! hostile peer cannot make the server buffer unbounded garbage.
 
 use crate::error::{Result, ServeError};
 use appclass_metrics::wire::{self, MAX_CONTROL_SIZE};
@@ -24,32 +24,14 @@ pub const MAX_FRAME_BYTES: usize = MAX_CONTROL_SIZE;
 /// the chaos suite's mid-frame stalls are calibrated against it.
 pub const MID_FRAME_TIMEOUT_BUDGET: u32 = 100;
 
-/// Writes one control frame (length prefix + encoded bytes) and flushes.
+/// Writes one control frame (length prefix + encoded bytes) in a single
+/// `write_all` and flushes. For the cold paths (refusals, tests): it
+/// encodes into a fresh buffer sized to the frame, where a hot path
+/// keeps its own and calls [`wire::encode_control_into`].
 pub fn write_frame<W: Write>(w: &mut W, frame: &ControlFrame) -> Result<()> {
-    let bytes = wire::encode_control(frame);
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
+    let mut bytes = Vec::new();
+    wire::encode_control_into(frame, &mut bytes);
     w.write_all(&bytes)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Like [`write_frame`], but assembles the length prefix and the encoded
-/// body into one contiguous caller-owned scratch buffer and hands the
-/// transport a single `write_all` — the batch reply path, where one
-/// write per *batch* rather than two per frame is the point. The scratch
-/// buffer keeps its allocation across calls, so the steady state writes
-/// without allocating beyond the encoder itself.
-pub fn write_frame_single<W: Write>(
-    w: &mut W,
-    frame: &ControlFrame,
-    scratch: &mut Vec<u8>,
-) -> Result<()> {
-    let bytes = wire::encode_control(frame);
-    scratch.clear();
-    scratch.reserve(4 + bytes.len());
-    scratch.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-    scratch.extend_from_slice(&bytes);
-    w.write_all(scratch)?;
     w.flush()?;
     Ok(())
 }

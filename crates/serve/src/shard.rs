@@ -14,7 +14,9 @@
 //!   read buffer with
 //!   [`decode_control_borrowed`](wire::decode_control_borrowed):
 //!   snapshot datagrams are classified straight out of the buffer the
-//!   kernel filled, never copied into per-frame `Vec`s.
+//!   kernel filled, never copied into per-frame `Vec`s, and replies are
+//!   encoded straight into the connection's write buffer
+//!   ([`encode_control_into`](wire::encode_control_into)).
 //! - **Lock-free stats.** Every serve event is counted once, into the
 //!   server registry's atomic `serve_*` handles (`stats::ServeMetrics`),
 //!   which all shards share; there is no per-shard copy to merge.
@@ -32,7 +34,7 @@
 use crate::error::ServeError;
 use crate::model::ModelSlot;
 use crate::poll::PollSet;
-use crate::proto::{write_frame, write_frame_single, MAX_FRAME_BYTES, MID_FRAME_TIMEOUT_BUDGET};
+use crate::proto::{MAX_FRAME_BYTES, MID_FRAME_TIMEOUT_BUDGET};
 use crate::server::{update_overload, ServerConfig, Shared};
 use crate::session::{busy_frame, deadline_exceeded, finish, publish_feed, refuse, verdict_frame};
 use appclass_core::online::OnlineClassifier;
@@ -134,8 +136,11 @@ struct ConnIo {
 }
 
 impl ConnIo {
-    /// Reads everything the socket has ready. Returns `true` if the
-    /// peer closed the read side.
+    /// Reads what the socket has ready. Returns `true` if the peer
+    /// closed the read side. A read shorter than `tmp` has emptied the
+    /// socket, so it returns there rather than paying one more `read`
+    /// for the `EAGAIN`; `poll(2)` is level-triggered, so bytes or an EOF
+    /// that land after it surface on the next turn.
     fn pump_read(&mut self, tmp: &mut [u8]) -> std::io::Result<bool> {
         loop {
             match self.stream.read(tmp) {
@@ -145,6 +150,9 @@ impl ConnIo {
                         self.frame_started = Some(Instant::now());
                     }
                     self.read_buf.extend_from_slice(&tmp[..n]);
+                    if n < tmp.len() {
+                        return Ok(false);
+                    }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(false),
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -208,7 +216,6 @@ enum Step {
 pub(crate) fn shard_loop(shared: &Shared, rx: &Receiver<TcpStream>) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut poll = PollSet::new();
-    let mut scratch: Vec<u8> = Vec::new();
     let mut tmp = vec![0u8; READ_CHUNK];
     let stall_budget = shared.config.read_timeout.saturating_mul(MID_FRAME_TIMEOUT_BUDGET);
 
@@ -278,9 +285,9 @@ pub(crate) fn shard_loop(shared: &Shared, rx: &Receiver<TcpStream>) {
                     }
                     Phase::Steady => CloseKind::Shutdown,
                 };
-                let _ = write_frame(
-                    &mut conn.io.write_buf,
+                wire::encode_control_into(
                     &ControlFrame::Bye { reason: ByeReason::Shutdown },
+                    &mut conn.io.write_buf,
                 );
                 let _ = conn.io.pump_write(); // best-effort farewell
                 retire(conn, kind, shared);
@@ -312,15 +319,7 @@ pub(crate) fn shard_loop(shared: &Shared, rx: &Receiver<TcpStream>) {
         while i < conns.len() {
             let readable = poll.readable(i);
             let writable = poll.writable(i);
-            serve_conn_turn(
-                &mut conns[i],
-                readable,
-                writable,
-                shared,
-                &mut scratch,
-                &mut tmp,
-                stall_budget,
-            );
+            serve_conn_turn(&mut conns[i], readable, writable, shared, &mut tmp, stall_budget);
             // Retire once the close decision is made and the farewell
             // (if any) is flushed; failed writes dropped their backlog.
             if conns[i].closing.is_some() && !conns[i].io.has_pending_writes() {
@@ -341,14 +340,13 @@ fn serve_conn_turn(
     readable: bool,
     writable: bool,
     shared: &Shared,
-    scratch: &mut Vec<u8>,
     tmp: &mut [u8],
     stall_budget: Duration,
 ) {
     if readable && conn.closing.is_none() {
         match conn.io.pump_read(tmp) {
             Ok(eof) => {
-                serve_pending_frames(conn, shared, scratch);
+                serve_pending_frames(conn, shared);
                 if eof && conn.closing.is_none() {
                     // Peer vanished without Bye.
                     conn.closing = Some(CloseKind::Failed(ServeError::ConnectionClosed));
@@ -425,7 +423,7 @@ fn rebuild_if_swapped(sess: &mut Sess, shared: &Shared) {
 /// Parses every complete frame in the connection's read buffer and
 /// serves it. Frames are decoded zero-copy: snapshot payloads are
 /// classified straight out of `read_buf`.
-fn serve_pending_frames(conn: &mut Conn, shared: &Shared, scratch: &mut Vec<u8>) {
+fn serve_pending_frames(conn: &mut Conn, shared: &Shared) {
     let Conn { io, sess, closing } = conn;
     let ConnIo { read_buf, write_buf, frame_started, .. } = io;
     let mut at = 0usize;
@@ -453,7 +451,7 @@ fn serve_pending_frames(conn: &mut Conn, shared: &Shared, scratch: &mut Vec<u8>)
         // later frames in the same buffer were all ready "now".
         let arrival =
             if consumed_any { Instant::now() } else { frame_started.unwrap_or_else(Instant::now) };
-        let step = serve_frame(sess, body, arrival, write_buf, shared, scratch);
+        let step = serve_frame(sess, body, arrival, write_buf, shared);
         at += 4 + len;
         consumed_any = true;
         match step {
@@ -488,7 +486,6 @@ fn serve_frame(
     arrival: Instant,
     write_buf: &mut Vec<u8>,
     shared: &Shared,
-    scratch: &mut Vec<u8>,
 ) -> Step {
     let session_config = shared.config.session;
     let metrics = &shared.metrics;
@@ -496,7 +493,10 @@ fn serve_frame(
         Ok(frame) => frame,
         Err(_) => {
             // The session envelope itself is corrupt: framing is lost.
-            let _ = write_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::Protocol });
+            wire::encode_control_into(
+                &ControlFrame::Bye { reason: ByeReason::Protocol },
+                write_buf,
+            );
             if let Some(gen) = sess.gen.as_mut() {
                 gen.classifier.note_malformed();
             }
@@ -511,25 +511,28 @@ fn serve_frame(
             ControlFrame::Hello { model_id, .. } => {
                 let served = shared.slot.current_id();
                 if !shared.slot.accepts(model_id) {
-                    let _ = write_frame(
-                        write_buf,
+                    wire::encode_control_into(
                         &ControlFrame::Bye { reason: ByeReason::ModelMismatch },
+                        write_buf,
                     );
                     return Step::Close(CloseKind::Failed(ServeError::ModelMismatch {
                         offered: model_id,
                         served,
                     }));
                 }
-                let _ = write_frame(
-                    write_buf,
+                wire::encode_control_into(
                     &ControlFrame::Hello { session: sess.session_id, model_id: served },
+                    write_buf,
                 );
                 sess.phase = Phase::Steady;
                 sess.gen = Some(Generation::new(&shared.slot, &shared.config, &shared.obs));
                 Step::Continue
             }
             other => {
-                let _ = write_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::Protocol });
+                wire::encode_control_into(
+                    &ControlFrame::Bye { reason: ByeReason::Protocol },
+                    write_buf,
+                );
                 Step::Close(CloseKind::Failed(ServeError::UnexpectedFrame {
                     expected: "Hello",
                     got: other.name(),
@@ -548,15 +551,17 @@ fn serve_frame(
             sess.frames_in += 1;
             metrics.frames_in.inc();
             if sess.frames_in > session_config.frame_budget {
-                let _ =
-                    write_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::FrameBudget });
+                wire::encode_control_into(
+                    &ControlFrame::Bye { reason: ByeReason::FrameBudget },
+                    write_buf,
+                );
                 return Step::Close(CloseKind::Clean);
             }
             if deadline_exceeded(&session_config, arrival) {
                 metrics.frames_deadline_shed.inc();
                 note_degraded(&mut sess.degraded_noted, shared, sess.session_id, "deadline shed");
                 let notice = busy_frame(&session_config);
-                let _ = write_frame(write_buf, &notice);
+                wire::encode_control_into(&notice, write_buf);
                 return Step::Continue;
             }
             // The inner datagram crossed the client's (possibly faulty)
@@ -605,8 +610,10 @@ fn serve_frame(
             sess.frames_in += n;
             metrics.frames_in.add(n);
             if sess.frames_in > session_config.frame_budget {
-                let _ =
-                    write_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::FrameBudget });
+                wire::encode_control_into(
+                    &ControlFrame::Bye { reason: ByeReason::FrameBudget },
+                    write_buf,
+                );
                 return Step::Close(CloseKind::Clean);
             }
             if deadline_exceeded(&session_config, arrival) {
@@ -614,7 +621,7 @@ fn serve_frame(
                 note_degraded(&mut sess.degraded_noted, shared, sess.session_id, "deadline shed");
                 let statuses = vec![FrameDisposition::Expired; wires.len()];
                 let reply = ControlFrame::VerdictBatch { statuses };
-                let _ = write_frame_single(write_buf, &reply, scratch);
+                wire::encode_control_into(&reply, write_buf);
                 return Step::Continue;
             }
             let gen = sess.gen.as_mut().expect("steady phase always has a generation");
@@ -665,7 +672,7 @@ fn serve_frame(
                 note_degraded(&mut sess.degraded_noted, shared, sess.session_id, "malformed");
             }
             let reply = ControlFrame::VerdictBatch { statuses };
-            let _ = write_frame_single(write_buf, &reply, scratch);
+            wire::encode_control_into(&reply, write_buf);
             publish_feed(
                 Some(&shared.feed),
                 sess.session_id,
@@ -684,7 +691,7 @@ fn serve_frame(
             let span = shared.obs.tracer.span(shared.classify_span);
             let start = Instant::now();
             let verdict = verdict_frame(&gen.classifier, model_id, ctx);
-            let _ = write_frame(write_buf, &verdict);
+            wire::encode_control_into(&verdict, write_buf);
             drop(span);
             metrics.classify_latency.record(start.elapsed());
             metrics.verdicts.inc();
@@ -705,8 +712,10 @@ fn serve_frame(
                     // An undecodable model is a protocol-level failure:
                     // nothing was installed, and the typed core error
                     // says why.
-                    let _ =
-                        write_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::Protocol });
+                    wire::encode_control_into(
+                        &ControlFrame::Bye { reason: ByeReason::Protocol },
+                        write_buf,
+                    );
                     return Step::Close(CloseKind::Failed(e.into()));
                 }
             };
@@ -720,7 +729,7 @@ fn serve_frame(
                 ));
             }
             let ack = ControlFrame::SwapAck { old_model: old, new_model: new_id };
-            let _ = write_frame(write_buf, &ack);
+            wire::encode_control_into(&ack, write_buf);
             if old != new_id {
                 // Our own swap: rebuild eagerly rather than waiting for
                 // the next frame's epoch poll.
@@ -730,21 +739,24 @@ fn serve_frame(
         }
         ControlFrameRef::Other(ControlFrame::Stats { .. }) => {
             let text = shared.obs.registry.render();
-            let _ = write_frame(write_buf, &ControlFrame::Stats { text });
+            wire::encode_control_into(&ControlFrame::Stats { text }, write_buf);
             Step::Continue
         }
         ControlFrameRef::Other(ControlFrame::Health(_)) => {
             let gen = sess.gen.as_ref().expect("steady phase always has a generation");
             let reply = ControlFrame::Health(gen.classifier.telemetry().clone());
-            let _ = write_frame(write_buf, &reply);
+            wire::encode_control_into(&reply, write_buf);
             Step::Continue
         }
         ControlFrameRef::Other(ControlFrame::Bye { .. }) => {
-            let _ = write_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::Normal });
+            wire::encode_control_into(&ControlFrame::Bye { reason: ByeReason::Normal }, write_buf);
             Step::Close(CloseKind::Clean)
         }
         ControlFrameRef::Other(other) => {
-            let _ = write_frame(write_buf, &ControlFrame::Bye { reason: ByeReason::Protocol });
+            wire::encode_control_into(
+                &ControlFrame::Bye { reason: ByeReason::Protocol },
+                write_buf,
+            );
             Step::Close(CloseKind::Failed(ServeError::UnexpectedFrame {
                 expected: "Snapshot/SnapshotBatch/Classify/SwapModel/Health/Bye",
                 got: other.name(),

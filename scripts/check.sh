@@ -34,6 +34,12 @@ echo "== cargo doc --workspace --no-deps (warnings denied) =="
 # A doc link to a renamed or deleted item fails here.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+echo "== cargo test --release --manifest-path perfbench/Cargo.toml =="
+# The benchmark is a workspace of its own that compiles against the wire
+# and client APIs; this builds it and runs its unit tests, so an API
+# change that breaks it fails here rather than at benchmark time.
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "== server smoke test =="
 # Train a model, serve it on an ephemeral port, classify one workload
 # over TCP, and require a clean drain with a nonzero verdict count.

@@ -4,12 +4,17 @@
 
 mod common;
 
-use appclass::metrics::{ByeReason, FaultPlan, NodeId, Snapshot};
+use appclass::metrics::wire::{self, CONTROL_MAGIC};
+use appclass::metrics::{ByeReason, ControlFrame, Error, FaultPlan, NodeId, Snapshot};
 use appclass::prelude::AppClass;
+use appclass::serve::proto::read_frame;
 use appclass::serve::{ClientConfig, ServeClient, ServeError, Server, ServerConfig};
 use appclass::sim::runner::run_spec;
 use appclass::sim::workload::registry::{training_specs, WorkloadSpec};
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn snapshots_of(spec: &WorkloadSpec, node: u32, seed: u64) -> Vec<Snapshot> {
     let rec = run_spec(spec, NodeId(node), seed);
@@ -289,4 +294,42 @@ fn join_stats_are_the_registry_counters() {
         clean_health.seen + lossy_health.seen,
         "folded health must be the sum of the per-session reports"
     );
+}
+
+/// A peer still on control version 1 (byte-wise FNV-1a trailer) is
+/// refused by version, not by checksum: its frames decode to a typed
+/// `unsupported control version` error, and a server handed its `Hello`
+/// answers `Bye(Protocol)` and counts exactly one session error. No
+/// panic, no hang.
+#[test]
+fn a_version_1_hello_is_refused_with_a_protocol_bye() {
+    let mut old = CONTROL_MAGIC.to_be_bytes().to_vec();
+    old.extend_from_slice(&1u16.to_be_bytes());
+    old.push(1); // Hello
+    old.extend_from_slice(&0u32.to_be_bytes());
+    old.extend_from_slice(&0u64.to_be_bytes());
+    let trailer = wire::fnv1a64(&old);
+    old.extend_from_slice(&trailer.to_be_bytes());
+    match wire::decode_control(&old) {
+        Err(Error::MalformedWire { reason, .. }) => {
+            assert_eq!(reason, "unsupported control version")
+        }
+        other => panic!("a version-1 frame must be refused by version, got {other:?}"),
+    }
+
+    let pipeline = Arc::new(common::trained_pipeline());
+    let config = ServerConfig { shards: 1, ..ServerConfig::default() };
+    let server = Server::bind("127.0.0.1:0", pipeline, config).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream.write_all(&(old.len() as u32).to_be_bytes()).unwrap();
+    stream.write_all(&old).unwrap();
+    let reply = read_frame(&mut stream).expect("the server must answer, not hang");
+    assert_eq!(reply, ControlFrame::Bye { reason: ByeReason::Protocol });
+    drop(stream);
+
+    server.shutdown();
+    let stats = server.join().unwrap();
+    assert_eq!((stats.sessions_started, stats.sessions_finished), (1, 0));
+    assert_eq!(stats.session_errors, 1, "{stats}");
 }
